@@ -43,20 +43,24 @@ main()
         p.client.think_mean = SimTime(); // closed-loop saturation
         p.client.start_window = SimTime::ms(1);
 
-        Simulator sim;
-        apps::McExperiment exp(sim, p);
+        fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+        apps::McExperiment exp(ps, p);
         exp.run();
         const auto &r = exp.result();
 
+        // Busy share of the run until the last client finished.
         double util = 0;
         for (net::NodeId s : exp.serverNodes()) {
-            util = std::max(util,
-                            exp.cluster().kernel(s).cpu().utilization());
+            const os::Cpu &cpu = exp.cluster().kernel(s).cpu();
+            util = std::max(util, cpu.totalBusyTime().asSeconds() /
+                                      (r.completion.asSeconds() *
+                                       static_cast<double>(cpu.cores())));
         }
         t.addRow({Table::cell("%u", cores),
                   Table::cell("%.1f",
                               static_cast<double>(r.requests_completed) /
-                                  r.elapsed.asSeconds() / 1000.0 / 2.0),
+                                  r.completion.asSeconds() / 1000.0 /
+                                  2.0),
                   Table::cell("%.1f", r.latency_us.mean()),
                   Table::cell("%.0f%%", 100 * util)});
     }

@@ -25,8 +25,8 @@ main()
     for (double itr_us : {0.0, 25.0, 100.0}) {
         apps::McExperimentParams p = mcConfig(496, true, false);
         p.cluster.nic.rx_itr = SimTime::microseconds(itr_us);
-        Simulator sim;
-        apps::McExperiment exp(sim, p);
+        fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+        apps::McExperiment exp(ps, p);
         exp.run();
         const SampleSet &lat = exp.result().latency_us;
         uint64_t softirqs = 0;
@@ -47,19 +47,19 @@ main()
     // --- zero-copy vs TCP send ceiling (1 server, 10 Gbps) ---
     Table z({"zero-copy", "single-flow goodput (Mbps)"});
     for (bool zc : {true, false}) {
-        Simulator sim;
         sim::ClusterParams cp = sim::ClusterParams::tengig100ns();
         cp.topo.servers_per_rack = 2;
         cp.topo.racks_per_array = 1;
         cp.topo.num_arrays = 1;
         cp.nic.zero_copy = zc;
-        sim::Cluster cluster(sim, cp);
+        fame::PartitionSet ps(sim::Cluster::partitionsRequired(cp));
+        sim::Cluster cluster(ps, cp);
         apps::IncastParams ip;
         ip.block_bytes = 256 * 1024;
         ip.iterations = incastIterations();
         apps::IncastApp app(cluster, ip, 0, {1});
         app.install();
-        sim.run();
+        ps.runSequential(SimTime::max());
         z.addRow({zc ? "on" : "off",
                   analysis::Table::cell("%.0f",
                                         app.result().goodputMbps())});

@@ -87,8 +87,8 @@ mcConfig(uint32_t nodes, bool udp, bool tengig)
 inline apps::McExperimentResult
 runMc(const apps::McExperimentParams &params)
 {
-    Simulator sim;
-    apps::McExperiment exp(sim, params);
+    fame::PartitionSet ps(sim::Cluster::partitionsRequired(params.cluster));
+    apps::McExperiment exp(ps, params);
     exp.run();
     return exp.result();
 }
@@ -100,7 +100,6 @@ runIncast(uint32_t num_servers, switchm::BufferPolicy policy,
           bool tengig, uint32_t iterations,
           topo::SwitchModelKind model = topo::SwitchModelKind::Voq)
 {
-    Simulator sim;
     sim::ClusterParams cp = tengig ? sim::ClusterParams::tengig100ns()
                                    : sim::ClusterParams::gige1us();
     cp.topo.servers_per_rack = num_servers + 1;
@@ -113,7 +112,8 @@ runIncast(uint32_t num_servers, switchm::BufferPolicy policy,
     // Shared pools are sized for the full switch (16-port class), not
     // for the subset of occupied ports.
     cp.topo.rack_sw.buffer_total_bytes = buffer_bytes * 16;
-    sim::Cluster cluster(sim, cp);
+    fame::PartitionSet ps(sim::Cluster::partitionsRequired(cp));
+    sim::Cluster cluster(ps, cp);
 
     apps::IncastParams ip;
     ip.block_bytes = 256 * 1024;
@@ -125,7 +125,7 @@ runIncast(uint32_t num_servers, switchm::BufferPolicy policy,
     }
     apps::IncastApp app(cluster, ip, 0, servers);
     app.install();
-    sim.run();
+    ps.runSequential(SimTime::max());
     return app.result();
 }
 

@@ -37,13 +37,14 @@ runRack(uint32_t clients, bool udp, uint32_t workers)
     p.client.think_mean = SimTime();
     p.client.start_window = SimTime::ms(1);
 
-    Simulator sim;
-    apps::McExperiment exp(sim, p);
+    fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+    apps::McExperiment exp(ps, p);
     exp.run();
     const auto &r = exp.result();
     Point out;
     out.server_kops = static_cast<double>(r.requests_completed) /
-                      r.elapsed.asSeconds() / 1000.0 / 2.0; // per server
+                      r.completion.asSeconds() / 1000.0 /
+                      2.0; // per server
     out.mean_latency_us = r.latency_us.mean();
     return out;
 }

@@ -34,8 +34,8 @@ run120(int version, bool with_noise)
     p.client.requests = requestsPerClient();
     p.client.preconnect = false; // version delta lives in the accept path
 
-    Simulator sim;
-    apps::McExperiment exp(sim, p);
+    fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+    apps::McExperiment exp(ps, p);
     if (with_noise) {
         apps::NoiseParams np;
         apps::installBackgroundNoiseEverywhere(exp.cluster(), np);

@@ -24,8 +24,8 @@ main()
 
     for (bool tengig : {false, true}) {
         apps::McExperimentParams p = mcConfig(1984, true, tengig);
-        Simulator sim;
-        apps::McExperiment exp(sim, p);
+        fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+        apps::McExperiment exp(ps, p);
         exp.run();
         const auto &r = exp.result();
 

@@ -28,8 +28,8 @@ main()
 
     for (uint32_t nodes : scales) {
         apps::McExperimentParams p = mcConfig(nodes, true, false);
-        Simulator sim;
-        apps::McExperiment exp(sim, p);
+        fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+        apps::McExperiment exp(ps, p);
         exp.run();
         const SampleSet &lat = exp.result().latency_us;
 

@@ -33,8 +33,8 @@ main()
               &p.cluster.topo.dc_sw}) {
             sw->port_latency += SimTime::ns(extra_ns);
         }
-        Simulator sim;
-        apps::McExperiment exp(sim, p);
+        fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+        apps::McExperiment exp(ps, p);
         exp.run();
         const SampleSet &lat = exp.result().latency_us;
         t.addRow({Table::cell("+%d ns", extra_ns),

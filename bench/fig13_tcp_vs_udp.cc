@@ -32,8 +32,9 @@ main()
             SampleSet tails[2];
             for (bool udp : {true, false}) {
                 apps::McExperimentParams p = mcConfig(nodes, udp, tengig);
-                Simulator sim;
-                apps::McExperiment exp(sim, p);
+                fame::PartitionSet ps(
+                    sim::Cluster::partitionsRequired(p.cluster));
+                apps::McExperiment exp(ps, p);
                 exp.run();
                 const auto &r = exp.result();
                 t.addRow({Table::cell("%u-node %s", nodes,

@@ -30,8 +30,8 @@ main()
     for (const char *kver : {"2.6.39.3", "3.5.7"}) {
         apps::McExperimentParams p = mcConfig(1984, true, true);
         p.cluster.kernel_profile = os::KernelProfile::byName(kver);
-        Simulator sim;
-        apps::McExperiment exp(sim, p);
+        fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+        apps::McExperiment exp(ps, p);
         exp.run();
         const SampleSet &lat = exp.result().latency_us;
         t.addRow({kver, Table::cell("%.1f", lat.mean()),

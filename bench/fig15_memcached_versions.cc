@@ -35,8 +35,8 @@ main()
             // Connection setup must land in measured latencies: clients
             // open connections lazily (first request to each server).
             p.client.preconnect = false;
-            Simulator sim;
-            apps::McExperiment exp(sim, p);
+            fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+            apps::McExperiment exp(ps, p);
             exp.run();
             const SampleSet &lat = exp.result().latency_us;
 

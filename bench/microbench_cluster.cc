@@ -1,20 +1,17 @@
 /**
  * @file
  * Full-stack cluster benchmark: wall-clock cost of simulating the same
- * incast workload three ways —
+ * incast workload two ways —
  *
- *  - single:      the whole array on one Simulator (the pre-sharding
- *                 baseline, one event queue, one host thread);
  *  - sharded/seq: the rack/switch-partitioned build driven by the
- *                 sequential reference engine (adds barrier + channel
- *                 drain bookkeeping, still one host thread);
+ *                 sequential reference engine (one host thread);
  *  - sharded/par: the same partitioned build on the pooled parallel
  *                 engine (one worker thread per partition).
  *
  * This is the software analog of the paper's Table 6 host-performance
- * question: what does partitioning cost, and what does parallel
- * execution of the partitions buy back?  Items processed = simulated
- * events, so items_per_second is engine event throughput.  Results are
+ * question: what does parallel execution of the partitions buy back?
+ * Items processed = simulated events, so items_per_second is engine
+ * event throughput.  Results are
  * appended to BENCH_cluster.json (see bench/bench_json.hh).
  */
 
@@ -71,34 +68,6 @@ crossRackServers(sim::Cluster &cluster)
 }
 
 constexpr SimTime kHorizon = SimTime::sec(10);
-
-void
-BM_ClusterIncastSingleSim(benchmark::State &state)
-{
-    const auto racks = static_cast<uint32_t>(state.range(0));
-    const auto spr = static_cast<uint32_t>(state.range(1));
-    uint64_t events = 0;
-    for (auto _ : state) {
-        Simulator sim;
-        sim::Cluster cluster(sim, benchParams(racks, spr));
-        apps::IncastApp app(cluster, benchWorkload(), 0,
-                            crossRackServers(cluster));
-        app.install();
-        sim.run();
-        if (!app.result().done) {
-            state.SkipWithError("incast did not complete");
-            return;
-        }
-        events += sim.executedEvents();
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(events));
-}
-BENCHMARK(BM_ClusterIncastSingleSim)
-    ->Args({4, 4})
-    ->Args({8, 8})
-    ->ArgNames({"racks", "spr"})
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 void
 BM_ClusterIncastSharded(benchmark::State &state)

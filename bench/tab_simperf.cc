@@ -92,15 +92,15 @@ main()
     for (uint32_t nodes : {496u, 992u, 1984u}) {
         apps::McExperimentParams p = mcConfig(nodes, true, false);
         p.client.requests = std::min(requestsPerClient(), 100u);
-        Simulator sim;
-        apps::McExperiment exp(sim, p);
+        fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+        apps::McExperiment exp(ps, p);
         auto t0 = std::chrono::steady_clock::now();
         exp.run();
         auto t1 = std::chrono::steady_clock::now();
         const double wall =
             std::chrono::duration<double>(t1 - t0).count();
         const double per_node =
-            static_cast<double>(sim.executedEvents()) / nodes;
+            static_cast<double>(ps.totalExecutedEvents()) / nodes;
         if (nodes == 496) {
             ev_per_node_500 = per_node;
         }
@@ -109,7 +109,7 @@ main()
         }
         s.addRow({Table::cell("%u", nodes),
                   Table::cell("%llu", static_cast<unsigned long long>(
-                                          sim.executedEvents())),
+                                          ps.totalExecutedEvents())),
                   Table::cell("%.0f", per_node),
                   Table::cell("%.1f", wall)});
     }

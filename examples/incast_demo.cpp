@@ -30,13 +30,13 @@ main(int argc, char **argv)
                 "worst iter ms");
 
     for (uint32_t n = 1; n <= max_servers; n *= 2) {
-        Simulator sim;
         sim::ClusterParams cp = sim::ClusterParams::gige1us();
         cp.topo.servers_per_rack = n + 1;
         cp.topo.racks_per_array = 1;
         cp.topo.num_arrays = 1;
         cp.topo.rack_sw.buffer_per_port_bytes = buffer;
-        sim::Cluster cluster(sim, cp);
+        fame::PartitionSet ps(sim::Cluster::partitionsRequired(cp));
+        sim::Cluster cluster(ps, cp);
 
         apps::IncastParams ip;
         ip.iterations = 10;
@@ -46,7 +46,7 @@ main(int argc, char **argv)
         }
         apps::IncastApp app(cluster, ip, 0, servers);
         app.install();
-        sim.run();
+        ps.runSequential(SimTime::max());
 
         const apps::IncastResult &r = app.result();
         std::printf("%8u %14.1f %10llu %8llu %12llu %14.1f\n", n,

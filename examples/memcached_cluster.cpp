@@ -31,8 +31,8 @@ main(int argc, char **argv)
     p.client.udp = udp;
     p.client.requests = requests;
 
-    Simulator sim;
-    apps::McExperiment exp(sim, p);
+    fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+    apps::McExperiment exp(ps, p);
     exp.run();
     const apps::McExperimentResult &r = exp.result();
 
@@ -40,7 +40,7 @@ main(int argc, char **argv)
                 "requests completed\n", udp ? "UDP" : "TCP", r.servers,
                 r.clients,
                 static_cast<unsigned long long>(r.requests_completed));
-    std::printf("simulated time: %s\n", r.elapsed.str().c_str());
+    std::printf("simulated time: %s\n", r.completion.str().c_str());
 
     const char *names[3] = {"local ", "1-hop ", "2-hop "};
     for (int h = 0; h < 3; ++h) {

@@ -8,11 +8,12 @@
  *
  * This walks through the complete public API surface:
  *   1. describe the cluster (topology + CPU + kernel + NIC parameters);
- *   2. instantiate it against a Simulator;
+ *   2. instantiate it on a fame::PartitionSet;
  *   3. write application logic as coroutines over the syscall API;
  *   4. run and inspect statistics.
  */
 
+#include <algorithm>
 #include <cstdio>
 
 #include "sim/cluster.hh"
@@ -82,9 +83,10 @@ main()
     params.topo.num_arrays = 1;
     params.cpu.freq_ghz = 4.0;
 
-    // 2. Instantiate.
-    Simulator sim;
-    sim::Cluster cluster(sim, params);
+    // 2. Instantiate: one event-queue partition per rack plus one for
+    //    the array switch (the paper's Rack-/Switch-FPGA split).
+    fame::PartitionSet ps(sim::Cluster::partitionsRequired(params));
+    sim::Cluster cluster(ps, params);
     std::printf("built a %u-node cluster: %zu rack switches, %zu array "
                 "switches\n", cluster.size(),
                 cluster.network().numRackSwitches(),
@@ -97,8 +99,13 @@ main()
     cluster.kernel(0).spawnProcess(pingClient(cluster.kernel(0), 7,
                                               stats));
 
-    // 4. Run to completion and inspect.
-    sim.run();
+    // 4. Run to completion (idle quanta are skipped, so the run ends
+    //    once no event is pending) and inspect.
+    ps.runSequential(SimTime::max());
+    SimTime end;
+    for (size_t i = 0; i < ps.size(); ++i) {
+        end = std::max(end, ps.partition(i).now());
+    }
 
     std::printf("completed %d ping-pong rounds\n", stats.rounds);
     std::printf("RTT: min %.1f us, median %.1f us, p99 %.1f us\n",
@@ -107,8 +114,9 @@ main()
     std::printf("hop class 0 -> 7: %s\n",
                 topo::hopClassName(cluster.network().hopClass(0, 7)));
     std::printf("simulated time: %s, events executed: %llu\n",
-                sim.now().str().c_str(),
-                static_cast<unsigned long long>(sim.executedEvents()));
+                end.str().c_str(),
+                static_cast<unsigned long long>(
+                    ps.totalExecutedEvents()));
     std::printf("array switch forwarded %llu packets, dropped %llu\n",
                 static_cast<unsigned long long>(
                     cluster.network().arraySwitch(0).stats()

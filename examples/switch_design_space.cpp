@@ -72,7 +72,6 @@ echoClient(os::Kernel &k, net::NodeId dst, SampleSet &rtt, bool &done)
 Outcome
 evaluate(bool cut_through, bool shared, uint64_t buffer_bytes)
 {
-    Simulator sim;
     sim::ClusterParams cp = sim::ClusterParams::gige1us();
     cp.topo.servers_per_rack = 8;
     cp.topo.racks_per_array = 1;
@@ -83,7 +82,8 @@ evaluate(bool cut_through, bool shared, uint64_t buffer_bytes)
                : switchm::BufferPolicy::Partitioned;
     cp.topo.rack_sw.buffer_per_port_bytes = buffer_bytes;
     cp.topo.rack_sw.buffer_total_bytes = buffer_bytes * 8;
-    sim::Cluster cluster(sim, cp);
+    fame::PartitionSet ps(sim::Cluster::partitionsRequired(cp));
+    sim::Cluster cluster(ps, cp);
 
     // Latency-sensitive pair: nodes 0 <-> 1.
     SampleSet rtt;
@@ -98,7 +98,7 @@ evaluate(bool cut_through, bool shared, uint64_t buffer_bytes)
     apps::IncastApp bulk(cluster, ip, 2, {3, 4, 5, 6, 7});
     bulk.install();
 
-    sim.run();
+    ps.runSequential(SimTime::max());
     return Outcome{rtt.percentile(99), bulk.result().goodputMbps(),
                    cluster.network().totalSwitchDrops()};
 }

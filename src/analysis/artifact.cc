@@ -114,7 +114,7 @@ RunArtifact::fingerprint() const
     }
     // Pool makes/returns are event-driven and engine-independent; the
     // recycle/heap split and high water are wall-clock artifacts, and
-    // per-partition event counts differ single-vs-sharded — excluded.
+    // per-partition event counts depend on the partitioning — excluded.
     for (const PartitionRow &p : partition_rows) {
         fp = QuantileSketch::chainFingerprint(fp, p.pool_makes);
         fp = QuantileSketch::chainFingerprint(fp, p.pool_returns);

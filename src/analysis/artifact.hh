@@ -73,7 +73,7 @@ struct RunArtifact {
     std::string status = "ok";
     /** Why an interrupted run stopped ("SIGTERM", "watchdog-stall"). */
     std::string interrupt_cause;
-    std::string engine; ///< "single" | "seq" | "par"
+    std::string engine; ///< "seq" | "par" | "mp"
     uint64_t threads_requested = 0;
     uint64_t partitions = 1;
     uint64_t workers = 1;
@@ -83,7 +83,7 @@ struct RunArtifact {
     bool oversubscribed = false;
     /**
      * Worker -> cpu pinning map of the last parallel run (-1 =
-     * unpinned); empty single-engine.  Reported, never fingerprinted:
+     * unpinned); empty unless par.  Reported, never fingerprinted:
      * placement must not affect results.
      */
     std::vector<int> worker_cpus;
@@ -109,7 +109,7 @@ struct RunArtifact {
     };
     std::vector<CounterGroup> groups;
 
-    /** Engine + pool ledger per partition (one row single-engine). */
+    /** Engine + pool ledger per partition. */
     struct PartitionRow {
         uint64_t events = 0; ///< executed events (engine-internal)
         uint64_t pool_makes = 0;
@@ -120,7 +120,7 @@ struct RunArtifact {
     };
     std::vector<PartitionRow> partition_rows;
     uint64_t executed_events = 0; ///< total, engine-internal
-    uint64_t quanta = 0;          ///< 0 single-engine
+    uint64_t quanta = 0;          ///< sync quanta executed
 
     /** --mem-report ledger; emitted when has_mem is set. */
     bool has_mem = false;

@@ -58,7 +58,14 @@ struct McExperimentResult {
     uint64_t udp_timeouts = 0;
     uint64_t udp_retries = 0;
     uint64_t requests_completed = 0;
+    /**
+     * Run time on rack 0's clock at the end of the final 100 ms run
+     * window: rack 0's last event there, not when the last client
+     * finished.  Run fingerprints fold this value.
+     */
     SimTime elapsed;
+    /** Simulated time until the last client finished (throughput). */
+    SimTime completion;
     uint32_t clients = 0;
     uint32_t servers = 0;
 };
@@ -66,15 +73,13 @@ struct McExperimentResult {
 /** Owns the cluster and all app state for one memcached run. */
 class McExperiment {
   public:
-    McExperiment(Simulator &sim, const McExperimentParams &params);
-
     /**
-     * Sharded build: the cluster is partitioned rack/switch-wise over
-     * @p ps (which must have sim::Cluster::partitionsRequired(
-     * params.cluster) partitions and outlive the experiment).  run()
-     * then drives the PartitionSet in bounded windows — sequentially
-     * or, with run(true), on the parallel engine; both produce
-     * bit-identical statistics.
+     * The cluster is partitioned rack/switch-wise over @p ps (which
+     * must have sim::Cluster::partitionsRequired(params.cluster)
+     * partitions and outlive the experiment).  run() then drives the
+     * PartitionSet in bounded windows — sequentially or, with
+     * run(true), on the parallel engine; both produce bit-identical
+     * statistics.
      */
     McExperiment(fame::PartitionSet &ps, const McExperimentParams &params);
 
@@ -82,8 +87,8 @@ class McExperiment {
 
     /**
      * Install apps and run the simulation until every client is done.
-     * @p parallel selects runParallel over runSequential for a sharded
-     * experiment; it is ignored (and must be false) single-sim.
+     * @p parallel selects runParallel over runSequential.  Panics when
+     * clients are still waiting but no partition has an event pending.
      */
     void run(bool parallel = false);
 
@@ -97,8 +102,8 @@ class McExperiment {
     /**
      * Live fold of per-client progress, for in-run telemetry probes:
      * requests completed so far plus the p99-so-far over every
-     * client's latency stat.  Only read between engine windows (or
-     * from an event on the single engine), where no worker is running.
+     * client's latency stat.  Only read between engine windows, where
+     * no worker is running.
      */
     struct LiveStats {
         uint64_t requests_completed = 0;
@@ -107,19 +112,16 @@ class McExperiment {
     LiveStats liveStats() const;
 
     /**
-     * Attach an in-run telemetry probe (must outlive run()): a
-     * single-engine run installs its periodic sampling event; a
-     * windowed (sharded) run stops at each sample instant inside the
-     * unchanged outer windows.  Either way the simulated results and
-     * the window-quantized elapsed time are bit-identical with the
-     * probe attached or not.
+     * Attach an in-run telemetry probe (must outlive run()): the run
+     * stops at each sample instant inside the unchanged outer windows,
+     * so the simulated results and the window-quantized elapsed time
+     * are bit-identical with the probe attached or not.
      */
     void attachTelemetry(sim::TelemetryProbe *probe) { probe_ = probe; }
 
     /**
-     * Periodic run-loop hook for unattended operation, called at safe
-     * points where no engine worker is running: every outer window on
-     * a sharded run, every few thousand events single-sim.  Return
+     * Periodic run-loop hook for unattended operation, called before
+     * every outer window, where no engine worker is running.  Return
      * true to abort the run early — run() then folds whatever the
      * clients measured so far into result() and returns, with
      * aborted() set.  diablo_run uses this to honor SIGINT/SIGTERM
@@ -137,11 +139,7 @@ class McExperiment {
     bool aborted() const { return aborted_; }
 
   private:
-    /** Pick the experiment's server nodes (shared ctor tail). */
-    void placeServers();
-
-    Simulator *sim_ = nullptr;         ///< non-null iff single-sim
-    fame::PartitionSet *ps_ = nullptr; ///< non-null iff sharded
+    fame::PartitionSet &ps_;
     sim::TelemetryProbe *probe_ = nullptr; ///< optional, not owned
     std::function<bool()> pulse_;      ///< optional abort/progress hook
     bool aborted_ = false;

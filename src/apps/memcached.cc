@@ -270,6 +270,7 @@ mcTcpClient(std::shared_ptr<ClientCtx> ctx)
             ctx->params.think_mean.asSeconds())));
     }
     ctx->stats->done = true;
+    ctx->stats->done_at = k.sim().now();
 }
 
 Task<>
@@ -331,6 +332,7 @@ mcUdpClient(std::shared_ptr<ClientCtx> ctx)
             ctx->params.think_mean.asSeconds())));
     }
     ctx->stats->done = true;
+    ctx->stats->done_at = k.sim().now();
 }
 
 } // namespace

@@ -105,6 +105,7 @@ struct McClientParams {
  *  O(clients * bins) instead of O(total samples * log). */
 struct McClientStats {
     bool done = false;
+    SimTime done_at; ///< when the client finished its last request
     LatencyStat latency_us;              ///< all requests
     LatencyStat latency_us_by_hop[3];    ///< Local / OneHop / TwoHop
     /** First request on each lazily-opened TCP connection: the requests

@@ -120,20 +120,13 @@ Cluster::partitionsRequired(const ClusterParams &params)
     return racks + (racks > 1 ? 1 : 0);
 }
 
-Cluster::Cluster(Simulator &sim, const ClusterParams &params)
-    : sim_(&sim), params_(params), rng_(params.seed)
-{
-    network_ = std::make_unique<topo::ClosNetwork>(sim, params_.topo);
-    buildServers();
-}
-
 Cluster::Cluster(fame::PartitionSet &ps, const ClusterParams &params)
-    : ps_(&ps), params_(params), rng_(params.seed)
+    : ps_(ps), params_(params), rng_(params.seed)
 {
     const uint32_t racks = numRacks();
     const size_t need = partitionsRequired(params_);
     if (ps.size() != need) {
-        fatal("Cluster: sharded build of %u racks needs %zu partitions "
+        fatal("Cluster: a %u-rack build needs %zu partitions "
               "(one per rack%s), got %zu",
               racks, need, racks > 1 ? " + 1 for the switch levels" : "",
               ps.size());
@@ -197,16 +190,12 @@ Cluster::Cluster(fame::PartitionSet &ps, const ClusterParams &params)
 void
 Cluster::enableProcessCoupling(const fame::PartitionSet::CoupledOptions &opts)
 {
-    if (ps_ == nullptr) {
-        fatal("Cluster::enableProcessCoupling: cluster is not sharded "
-              "over a PartitionSet");
-    }
     // Tag every partition's pool with its dense index (creating pools
     // that don't exist yet) so a trunk-crossing packet can name its
     // origin partition on the wire and the receiving process can ghost
     // a replica from the matching local pool.
-    for (size_t i = 0; i < ps_->size(); ++i) {
-        net::packetPoolOf(ps_->partition(i)).setTag(
+    for (size_t i = 0; i < ps_.size(); ++i) {
+        net::packetPoolOf(ps_.partition(i)).setTag(
             static_cast<int64_t>(i));
     }
     for (Trunk &t : trunks_) {
@@ -218,13 +207,13 @@ Cluster::enableProcessCoupling(const fame::PartitionSet::CoupledOptions &opts)
         link->enableRecordPath(
             ch.remoteOutgoingFlag(),
             [this, &ch](SimTime when, const net::PacketRecord &rec) {
-                ps_->postRecord(ch, when, &rec, sizeof(rec));
+                ps_.postRecord(ch, when, &rec, sizeof(rec));
             });
         // Inbound: rebuild the packet (ghost-making from the origin
         // partition's local replica pool) and deliver it through the
         // same ChannelLink sink path the closure route uses, so queue
         // position and downstream behaviour are identical.
-        ps_->setChannelDecoder(
+        ps_.setChannelDecoder(
             ch,
             [this, link](Simulator &, SimTime, const void *bytes,
                          uint32_t len) -> EventFn {
@@ -240,7 +229,7 @@ Cluster::enableProcessCoupling(const fame::PartitionSet::CoupledOptions &opts)
                     rec.origin_part == net::PacketRecord::kHeapOrigin
                         ? nullptr
                         : &net::packetPoolOf(
-                              ps_->partition(rec.origin_part));
+                              ps_.partition(rec.origin_part));
                 net::PacketPtr p = net::materializePacket(rec, origin);
                 auto deliver = [link, p = std::move(p)]() mutable {
                     link->receiveRecord(std::move(p));
@@ -252,24 +241,7 @@ Cluster::enableProcessCoupling(const fame::PartitionSet::CoupledOptions &opts)
                 return EventFn(std::move(deliver));
             });
     }
-    ps_->enableCoupled(opts);
-}
-
-Simulator &
-Cluster::sim()
-{
-    if (sim_ == nullptr) {
-        fatal("Cluster::sim(): a sharded cluster has no single "
-              "simulator; use kernel(node).sim() or drive the "
-              "PartitionSet");
-    }
-    return *sim_;
-}
-
-Simulator &
-Cluster::simForRack(uint32_t rack)
-{
-    return ps_ != nullptr ? ps_->partition(rack) : *sim_;
+    ps_.enableCoupled(opts);
 }
 
 void
@@ -279,11 +251,9 @@ Cluster::buildServers()
     nodes_.assign(n, nullptr);
 
     // One arena per rack partition so parallel-run materializations
-    // bump-allocate without synchronization; a non-sharded cluster runs
-    // single-threaded and shares one arena.
-    const size_t num_arenas = ps_ != nullptr ? numRacks() : 1;
-    arenas_.resize(num_arenas);
-    arena_nodes_.resize(num_arenas);
+    // bump-allocate without synchronization.
+    arenas_.resize(numRacks());
+    arena_nodes_.resize(numRacks());
 
     // Second materialization trigger: the first packet the fabric tries
     // to deliver to an unattached ToR server port.  The hook runs inside
@@ -321,11 +291,10 @@ Cluster::materialize(net::NodeId node)
     // that same partition, so mid-run materializations from two racks
     // never share state.
     const uint32_t rack = node / params_.topo.servers_per_rack;
-    const size_t arena = arenas_.size() == 1 ? 0 : rack;
-    ServerState *s = arenas_[arena].make<ServerState>(
-        simForRack(rack), node, params_, network_.get());
+    ServerState *s = arenas_[rack].make<ServerState>(
+        ps_.partition(rack), node, params_, network_.get());
     nodes_[node] = s;
-    arena_nodes_[arena].push_back(node);
+    arena_nodes_[rack].push_back(node);
     return s;
 }
 
@@ -506,13 +475,9 @@ Cluster::poolStats() const
         return ps;
     };
     std::vector<PoolStats> out;
-    if (ps_ != nullptr) {
-        out.reserve(ps_->size());
-        for (size_t i = 0; i < ps_->size(); ++i) {
-            out.push_back(snapshot(ps_->partition(i)));
-        }
-    } else {
-        out.push_back(snapshot(*sim_));
+    out.reserve(ps_.size());
+    for (size_t i = 0; i < ps_.size(); ++i) {
+        out.push_back(snapshot(ps_.partition(i)));
     }
     return out;
 }

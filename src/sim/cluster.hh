@@ -11,28 +11,23 @@
  * kernels and run as coroutines; statistics flow out through the models'
  * accessors.
  *
- * Typical use:
+ * Typical use — the paper's Rack-FPGA/Switch-FPGA partitioning
+ * (§3.2): each rack (servers, NICs, uplinks, ToR) maps to its own
+ * partition of a fame::PartitionSet, the array/datacenter switch levels
+ * to one additional switch partition, and the ToR<->array trunks
+ * become net::ChannelLinks over PartitionSet channels whose lookahead
+ * is the trunk propagation + header serialization time.  A one-rack
+ * cluster is a one-partition set:
  * @code
- *   Simulator sim;
  *   sim::ClusterParams params = sim::ClusterParams::gige1us();
- *   params.topo.num_arrays = 1;
- *   sim::Cluster cluster(sim, params);
- *   cluster.kernel(0).spawnProcess(myServerApp(cluster.kernel(0)));
- *   sim.run();
- * @endcode
- *
- * Sharded use — the paper's Rack-FPGA/Switch-FPGA partitioning (§3.2):
- * each rack (servers, NICs, uplinks, ToR) maps to its own partition of
- * a fame::PartitionSet, the array/datacenter switch levels to one
- * additional switch partition, and the ToR<->array trunks become
- * net::ChannelLinks over PartitionSet channels whose lookahead is the
- * trunk propagation + header serialization time:
- * @code
  *   fame::PartitionSet ps(sim::Cluster::partitionsRequired(params));
  *   sim::Cluster cluster(ps, params);
  *   cluster.kernel(0).spawnProcess(myServerApp(cluster.kernel(0)));
- *   ps.runParallel(SimTime::sec(1));   // or runSequential: identical
+ *   ps.runSequential(SimTime::max()); // or runParallel: identical
  * @endcode
+ *
+ * Idle quanta are skipped, so running to SimTime::max() returns once
+ * no event is pending anywhere.
  */
 
 #include <memory>
@@ -94,11 +89,8 @@ struct ClusterParams {
 /** A wired WSC array: fabric + servers. */
 class Cluster {
   public:
-    /** Single-partition build: the whole array on one Simulator. */
-    Cluster(Simulator &sim, const ClusterParams &params);
-
     /**
-     * Sharded build over a conservative-parallel PartitionSet: rack r's
+     * Build over a conservative-parallel PartitionSet: rack r's
      * servers/NICs/ToR on partition r, the array and datacenter switch
      * levels on partition numRacks() (when those levels exist), with
      * cross-partition channels created for every ToR<->array trunk.
@@ -121,25 +113,17 @@ class Cluster {
     Cluster &operator=(const Cluster &) = delete;
 
     /**
-     * Partitions a sharded build of @p params needs: one per rack plus
+     * Partitions a build of @p params needs: one per rack plus
      * one for the aggregation switch levels (omitted for a single-rack
      * topology, which has no levels above its ToR).
      */
     static size_t partitionsRequired(const ClusterParams &params);
 
-    /**
-     * The single simulator of a non-sharded cluster.  Fatal on a
-     * sharded cluster — there is no single engine; use
-     * kernel(node).sim(), or drive the PartitionSet.
-     */
-    Simulator &sim();
-
-    /** Non-null iff this cluster is sharded over a PartitionSet. */
-    fame::PartitionSet *partitionSet() { return ps_; }
-    bool sharded() const { return ps_ != nullptr; }
+    /** The engine this cluster was built on. */
+    fame::PartitionSet &partitionSet() { return ps_; }
 
     /**
-     * Arm the multiprocess (coupled) engine on a sharded cluster: tag
+     * Arm the multiprocess (coupled) engine: tag
      * every partition's packet pool with its dense index, switch each
      * ToR<->array trunk to the PacketRecord wire path for destinations
      * owned by peer processes, install the matching record decoder,
@@ -147,7 +131,7 @@ class Cluster {
      * of the group builds the identical cluster, calls this with its
      * own rank/transport set (complementary owner maps), then drives
      * its PartitionSet with runCoupled().  Call once, before the first
-     * run, on a sharded cluster only (fatal otherwise).
+     * run.
      */
     void enableProcessCoupling(const fame::PartitionSet::CoupledOptions &opts);
 
@@ -173,7 +157,7 @@ class Cluster {
     /** Servers whose kernel/NIC/uplink exist (== size() when eager). */
     size_t materializedServers() const;
 
-    /** One arena's ledger (arenas are per rack partition when sharded). */
+    /** One arena's ledger (one arena per rack partition). */
     struct ArenaStats {
         uint64_t nodes = 0;          ///< materialized servers
         uint64_t bytes_used = 0;     ///< bump-allocated object bytes
@@ -207,8 +191,8 @@ class Cluster {
     };
 
     /**
-     * Per-partition pool counters, one entry per engine partition (a
-     * single entry for a non-sharded cluster).  Partitions whose pool
+     * Per-partition pool counters, one entry per engine partition.
+     * Partitions whose pool
      * was never touched report all-zero.  makes/returns are
      * event-driven and bit-identical seq vs par; heap_allocs,
      * recycles and high_water depend on recycle timing and are only
@@ -228,17 +212,14 @@ class Cluster {
      */
     struct ServerState;
 
-    /** Shared ctor tail: node table, arenas, hook, eager fill. */
+    /** Node table, arenas, attach hook, eager fill. */
     void buildServers();
 
     /** Materialize-if-needed; the only path that creates ServerState. */
     ServerState &ensureServer(net::NodeId node);
     ServerState *materialize(net::NodeId node);
 
-    Simulator &simForRack(uint32_t rack);
-
-    Simulator *sim_ = nullptr;       ///< non-null iff single-partition
-    fame::PartitionSet *ps_ = nullptr; ///< non-null iff sharded
+    fame::PartitionSet &ps_;
     ClusterParams params_;
     std::unique_ptr<topo::ClosNetwork> network_;
 
@@ -251,7 +232,7 @@ class Cluster {
     std::vector<ServerState *> nodes_;
 
     /**
-     * Every cross-partition trunk of a sharded build: the fame channel
+     * Every cross-partition trunk: the fame channel
      * and the ChannelLink riding it, recorded at wiring time so
      * enableProcessCoupling can retrofit the record path without
      * re-deriving the topology.
@@ -262,7 +243,7 @@ class Cluster {
     };
     std::vector<Trunk> trunks_;
 
-    /** One arena per rack partition (a single one when not sharded). */
+    /** One arena per rack partition. */
     std::vector<SlabArena> arenas_;
     /** Per-arena materialization order, for reverse-order teardown. */
     std::vector<std::vector<net::NodeId>> arena_nodes_;

@@ -38,30 +38,6 @@ TelemetryProbe::flush()
 }
 
 void
-TelemetryProbe::installPeriodic(std::function<bool()> done)
-{
-    Simulator &sim = cluster_.sim(); // fatal on a sharded cluster
-    // Self-rescheduling closure; owns nothing but the done predicate.
-    struct Tick {
-        TelemetryProbe *probe;
-        std::function<bool()> done;
-
-        void
-        operator()()
-        {
-            Simulator &s = probe->cluster_.sim();
-            probe->sample(s.now());
-            probe->next_due_ = probe->next_due_ + probe->period_;
-            if (done && done()) {
-                return;
-            }
-            s.schedule(probe->period_, Tick{probe, done});
-        }
-    };
-    sim.schedule(next_due_ - sim.now(), Tick{this, std::move(done)});
-}
-
-void
 TelemetryProbe::poll(SimTime now)
 {
     while (next_due_ <= now) {
@@ -98,13 +74,7 @@ TelemetryProbe::sample(SimTime t)
         sampler_(app);
     }
 
-    uint64_t events = 0;
-    fame::PartitionSet *ps = cluster_.partitionSet();
-    if (ps != nullptr) {
-        events = ps->totalExecutedEvents();
-    } else {
-        events = cluster_.sim().executedEvents();
-    }
+    const uint64_t events = cluster_.partitionSet().totalExecutedEvents();
 
     uint64_t pool_makes = 0, pool_returns = 0;
     for (const Cluster::PoolStats &p : cluster_.poolStats()) {

@@ -13,19 +13,12 @@
  * materialized-node delta, and engine progress.  Because sampling is
  * driven by simulated time and the probe only *reads* model state,
  * enabling it never perturbs simulated results: runs with telemetry on
- * and off are bit-identical (asserted by tests for both engines).
+ * and off are bit-identical (asserted by tests for seq and par).
  *
- * Two attachment modes cover the two ways runs are driven:
- *
- *  - installPeriodic(): a self-rescheduling event on the cluster's
- *    single Simulator.  Single-engine only; the optional done()
- *    predicate stops rescheduling so `sim.run()` can still drain.
- *
- *  - poll(now): for window-driven engines (seq/par PartitionSet
- *    drivers), the host loop calls poll() at window boundaries —
- *    between quanta no worker is running, so cross-partition reads are
- *    race-free, and clampWindow() aligns window ends to sample
- *    instants so samples land exactly on the period grid.
+ * The host loop that drives the PartitionSet calls poll() at window
+ * boundaries — between quanta no worker is running, so cross-partition
+ * reads are race-free — and clampWindow()/driveTo() align window ends
+ * to sample instants so samples land exactly on the period grid.
  */
 
 #include <cstdint>
@@ -66,14 +59,7 @@ class TelemetryProbe {
     void setSampler(Sampler s) { sampler_ = std::move(s); }
 
     /**
-     * Single-engine mode: schedule a self-rescheduling sampling event
-     * on the cluster's Simulator.  @p done (when set) is checked after
-     * each sample and stops rescheduling, letting run() drain.
-     */
-    void installPeriodic(std::function<bool()> done = {});
-
-    /**
-     * Windowed mode: take any samples due at or before @p now.  Call
+     * Take any samples due at or before @p now.  Call
      * at window boundaries (no workers running).  Samples are stamped
      * with their nominal grid time, so a poll that covers several
      * periods emits several rows.
@@ -87,7 +73,7 @@ class TelemetryProbe {
     SimTime clampWindow(SimTime until) const;
 
     /**
-     * Drive a windowed engine to exactly @p until while sampling on
+     * Drive the engine to exactly @p until while sampling on
      * the period grid: repeatedly advances to the next sample instant
      * (via @p run, which must advance the engine to its argument),
      * polls, and finishes at @p until.  The caller's window sequence

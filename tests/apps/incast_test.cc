@@ -22,10 +22,10 @@ IncastResult
 runIncast(uint32_t num_servers, bool use_epoll, uint64_t block_bytes,
           uint32_t iterations, uint64_t buffer_bytes = 4096)
 {
-    Simulator sim;
     sim::ClusterParams cp = rackCluster(num_servers + 1);
     cp.topo.rack_sw.buffer_per_port_bytes = buffer_bytes;
-    sim::Cluster cluster(sim, cp);
+    fame::PartitionSet ps(sim::Cluster::partitionsRequired(cp));
+    sim::Cluster cluster(ps, cp);
 
     IncastParams ip;
     ip.block_bytes = block_bytes;
@@ -37,7 +37,7 @@ runIncast(uint32_t num_servers, bool use_epoll, uint64_t block_bytes,
     }
     IncastApp app(cluster, ip, 0, servers);
     app.install();
-    sim.run();
+    ps.runSequential(SimTime::max());
     EXPECT_TRUE(app.result().done);
     return app.result();
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/mc_experiment.hh"
+#include "sim/fault.hh"
 
 namespace diablo {
 namespace apps {
@@ -28,8 +29,9 @@ tinyExperiment(bool udp)
 
 TEST(Memcached, UdpExperimentCompletes)
 {
-    Simulator sim;
-    McExperiment exp(sim, tinyExperiment(true));
+    const McExperimentParams p = tinyExperiment(true);
+    fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+    McExperiment exp(ps, p);
     exp.run();
     const McExperimentResult &r = exp.result();
     EXPECT_EQ(r.clients, 28u);
@@ -42,18 +44,51 @@ TEST(Memcached, UdpExperimentCompletes)
 
 TEST(Memcached, TcpExperimentCompletes)
 {
-    Simulator sim;
-    McExperiment exp(sim, tinyExperiment(false));
+    const McExperimentParams p = tinyExperiment(false);
+    fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+    McExperiment exp(ps, p);
     exp.run();
     const McExperimentResult &r = exp.result();
     EXPECT_EQ(r.requests_completed, 28u * 20u);
     EXPECT_EQ(r.udp_timeouts, 0u);
 }
 
+// A run window that executes no event is not a deadlock.  Every request
+// here goes to a crashed server, so after each send the only pending
+// work is the client's 250 ms UDP retry timer, which outlasts whole
+// 100 ms run windows.  The run must still finish, giving the request up
+// as lost after its retries.
+TEST(Memcached, RetryTimerLongerThanRunWindowIsNotDeadlock)
+{
+    McExperimentParams p;
+    p.cluster = sim::ClusterParams::gige1us();
+    p.cluster.topo.servers_per_rack = 2;
+    p.cluster.topo.racks_per_array = 1;
+    p.cluster.topo.num_arrays = 1;
+    p.num_servers = 1;
+    p.server.udp = true;
+    p.client.udp = true;
+    p.client.requests = 1;
+    p.client.start_window = 1_ms;
+    ASSERT_GT(p.client.udp_retry_timeout, 2 * 100_ms);
+    fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+    McExperiment exp(ps, p);
+    sim::FaultPlan plan;
+    plan.serverCrash(SimTime(), exp.serverNodes()[0]);
+    sim::FaultController fc(exp.cluster(), plan);
+    fc.install();
+    exp.run();
+    const McExperimentResult &r = exp.result();
+    EXPECT_EQ(r.requests_completed, 0u);
+    EXPECT_EQ(r.udp_retries, p.client.udp_max_retries);
+    EXPECT_EQ(r.udp_timeouts, 1u);
+}
+
 TEST(Memcached, LatenciesAreMicrosecondScaleWithTail)
 {
-    Simulator sim;
-    McExperiment exp(sim, tinyExperiment(true));
+    const McExperimentParams p = tinyExperiment(true);
+    fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+    McExperiment exp(ps, p);
     exp.run();
     const SampleSet &lat = exp.result().latency_us;
     // The bulk finishes in well under a millisecond on an unloaded
@@ -65,8 +100,9 @@ TEST(Memcached, LatenciesAreMicrosecondScaleWithTail)
 
 TEST(Memcached, HopClassesAllObservedAndOrdered)
 {
-    Simulator sim;
-    McExperiment exp(sim, tinyExperiment(true));
+    const McExperimentParams p = tinyExperiment(true);
+    fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+    McExperiment exp(ps, p);
     exp.run();
     const McExperimentResult &r = exp.result();
     const SampleSet &local = r.latency_us_by_hop[0];
@@ -82,9 +118,9 @@ TEST(Memcached, HopClassesAllObservedAndOrdered)
 
 TEST(Memcached, ServerPlacementSpreadsAcrossRacks)
 {
-    Simulator sim;
-    McExperimentParams p = tinyExperiment(true);
-    McExperiment exp(sim, p);
+    const McExperimentParams p = tinyExperiment(true);
+    fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+    McExperiment exp(ps, p);
     // 4 servers over 4 racks -> one per rack.
     const auto &nodes = exp.serverNodes();
     ASSERT_EQ(nodes.size(), 4u);
@@ -100,10 +136,10 @@ TEST(Memcached, VersionChangesAcceptCost)
     // 1.4.17 (accept4) must use less CPU per TCP connection than 1.4.15;
     // observable as lower total server busy time on identical runs.
     auto serverBusy = [](int version) {
-        Simulator sim;
         McExperimentParams p = tinyExperiment(false);
         p.server.version = version;
-        McExperiment exp(sim, p);
+        fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+        McExperiment exp(ps, p);
         exp.run();
         SimTime busy;
         for (net::NodeId s : exp.serverNodes()) {
@@ -119,8 +155,9 @@ TEST(Memcached, VersionChangesAcceptCost)
 TEST(Memcached, Deterministic)
 {
     auto run = [] {
-        Simulator sim;
-        McExperiment exp(sim, tinyExperiment(true));
+        const McExperimentParams p = tinyExperiment(true);
+        fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+        McExperiment exp(ps, p);
         exp.run();
         return std::pair(exp.result().latency_us.mean(),
                          exp.result().elapsed.toPs());

@@ -213,18 +213,6 @@ TEST(ClusterCoupled, MergedViewBitIdenticalUnderFaultPlan)
     EXPECT_EQ(seq, mp);
 }
 
-TEST(ClusterCoupledDeathTest, CouplingAnUnshardedClusterIsFatal)
-{
-    Simulator sim;
-    ClusterParams p = fourRackParams();
-    Cluster cluster(sim, p);
-    fame::PartitionSet::CoupledOptions opts;
-    opts.self_rank = 0;
-    opts.owner_of = {0};
-    EXPECT_DEATH(cluster.enableProcessCoupling(opts),
-                 "not sharded over a PartitionSet");
-}
-
 } // namespace
 } // namespace sim
 } // namespace diablo

@@ -58,8 +58,7 @@ runShardedIncast(bool parallel, size_t threads = 0,
     fame::PartitionSet ps(Cluster::partitionsRequired(params));
     ps.setParallelism(threads);
     Cluster cluster(ps, params);
-    EXPECT_TRUE(cluster.sharded());
-    EXPECT_EQ(cluster.partitionSet(), &ps);
+    EXPECT_EQ(&cluster.partitionSet(), &ps);
 
     std::unique_ptr<FaultController> fc;
     if (with_faults) {
@@ -184,70 +183,6 @@ TEST(ClusterSharded, IncastActuallyStressesTheFabric)
     EXPECT_GT(out.tcp_retransmits, 0u);
 }
 
-TEST(ClusterSharded, CrossRackEchoMatchesSingleSimulator)
-{
-    // One packet in flight at a time: the sharded cluster must compute
-    // exactly the same RTT as the single-simulator build (ChannelLink
-    // delivery times equal plain Link delivery times).
-    struct Echo {
-        long got = -1;
-        SimTime rtt;
-        bool done = false;
-    };
-    auto server = [](os::Kernel &k, Echo &r) -> Task<> {
-        os::Thread &t = k.createThread("srv");
-        long fd = co_await k.sysSocket(t, net::Proto::Udp);
-        co_await k.sysBind(t, static_cast<int>(fd), 7);
-        os::RecvedMessage m;
-        long got = co_await k.sysRecvFrom(t, static_cast<int>(fd), &m);
-        co_await k.sysSendTo(t, static_cast<int>(fd), m.from, m.from_port,
-                             static_cast<uint64_t>(got), nullptr);
-        (void)r;
-    };
-    auto client = [](os::Kernel &k, net::NodeId dst, Echo &r) -> Task<> {
-        os::Thread &t = k.createThread("cli");
-        long fd = co_await k.sysSocket(t, net::Proto::Udp);
-        SimTime start = k.sim().now();
-        co_await k.sysSendTo(t, static_cast<int>(fd), dst, 7, 300,
-                             nullptr);
-        os::RecvedMessage m;
-        r.got = co_await k.sysRecvFrom(t, static_cast<int>(fd), &m);
-        r.rtt = k.sim().now() - start;
-        r.done = true;
-    };
-
-    const ClusterParams params = fourRackParams();
-    SimTime single_rtt;
-    {
-        Simulator sim;
-        Cluster cluster(sim, params);
-        Echo r;
-        cluster.kernel(9).spawnProcess(server(cluster.kernel(9), r));
-        cluster.kernel(0).spawnProcess(
-            client(cluster.kernel(0), 9, r));
-        sim.run();
-        ASSERT_TRUE(r.done);
-        single_rtt = r.rtt;
-    }
-    for (bool parallel : {false, true}) {
-        fame::PartitionSet ps(Cluster::partitionsRequired(params));
-        Cluster cluster(ps, params);
-        Echo r;
-        cluster.kernel(9).spawnProcess(server(cluster.kernel(9), r));
-        cluster.kernel(0).spawnProcess(
-            client(cluster.kernel(0), 9, r));
-        if (parallel) {
-            ps.runParallel(1_sec);
-        } else {
-            ps.runSequential(1_sec);
-        }
-        ASSERT_TRUE(r.done);
-        EXPECT_EQ(r.got, 300);
-        EXPECT_EQ(r.rtt, single_rtt)
-            << (parallel ? "parallel" : "sequential");
-    }
-}
-
 TEST(ClusterShardedDeathTest, WrongPartitionCountIsFatal)
 {
     ClusterParams p = fourRackParams();
@@ -257,18 +192,6 @@ TEST(ClusterShardedDeathTest, WrongPartitionCountIsFatal)
             Cluster cluster(ps, p);
         },
         "needs 5 partitions");
-}
-
-TEST(ClusterShardedDeathTest, SimAccessorOnShardedClusterIsFatal)
-{
-    ClusterParams p = fourRackParams();
-    EXPECT_DEATH(
-        {
-            fame::PartitionSet ps(Cluster::partitionsRequired(p));
-            Cluster cluster(ps, p);
-            cluster.sim();
-        },
-        "sharded cluster has no single simulator");
 }
 
 } // namespace

@@ -53,13 +53,13 @@ probeClient(os::Kernel &k, net::NodeId dst, EchoProbe &r)
 SimTime
 echoRtt(net::NodeId src, net::NodeId dst)
 {
-    Simulator sim;
-    Cluster cluster(sim, tinyCluster());
+    fame::PartitionSet ps(Cluster::partitionsRequired(tinyCluster()));
+    Cluster cluster(ps, tinyCluster());
     EchoProbe r;
     cluster.kernel(dst).spawnProcess(probeServer(cluster.kernel(dst), r));
     cluster.kernel(src).spawnProcess(probeClient(cluster.kernel(src), dst,
                                                  r));
-    sim.run();
+    ps.runSequential(SimTime::max());
     EXPECT_TRUE(r.done);
     EXPECT_EQ(r.server_got, 200);
     EXPECT_EQ(r.client_got, 200);
@@ -85,8 +85,8 @@ TEST(Cluster, EveryPairIsReachable)
     // Property check over the whole tiny fabric: an echo works between
     // every ordered pair of distinct nodes (sampled diagonally to keep
     // runtime reasonable while touching every node as both roles).
-    Simulator sim;
-    Cluster cluster(sim, tinyCluster());
+    fame::PartitionSet ps(Cluster::partitionsRequired(tinyCluster()));
+    Cluster cluster(ps, tinyCluster());
     const uint32_t n = cluster.size();
     std::vector<EchoProbe> probes(n);
     for (uint32_t i = 0; i < n; ++i) {
@@ -106,7 +106,7 @@ TEST(Cluster, EveryPairIsReachable)
         cluster.kernel(i).spawnProcess(
             probeClient(cluster.kernel(i), dst, probes[i]));
     }
-    sim.run();
+    ps.runSequential(SimTime::max());
     for (uint32_t i = 0; i < n; ++i) {
         if ((i + 7) % n == i) {
             continue;
@@ -119,15 +119,15 @@ TEST(Cluster, EveryPairIsReachable)
 TEST(Cluster, DeterministicAcrossConstructions)
 {
     auto run = [] {
-        Simulator sim;
-        Cluster cluster(sim, tinyCluster());
+        fame::PartitionSet ps(Cluster::partitionsRequired(tinyCluster()));
+        Cluster cluster(ps, tinyCluster());
         EchoProbe r;
         cluster.kernel(20).spawnProcess(
             probeServer(cluster.kernel(20), r));
         cluster.kernel(0).spawnProcess(
             probeClient(cluster.kernel(0), 20, r));
-        sim.run();
-        return std::pair(r.rtt.toPs(), sim.executedEvents());
+        ps.runSequential(SimTime::max());
+        return std::pair(r.rtt.toPs(), ps.totalExecutedEvents());
     };
     auto a = run();
     auto b = run();
@@ -137,12 +137,12 @@ TEST(Cluster, DeterministicAcrossConstructions)
 TEST(Cluster, PaperScaleConstructionIsFeasible)
 {
     // The paper's 500-node setup: 16 racks x 31 servers, one array.
-    Simulator sim;
     ClusterParams p = ClusterParams::gige1us();
     p.topo.servers_per_rack = 31;
     p.topo.racks_per_array = 16;
     p.topo.num_arrays = 1;
-    Cluster cluster(sim, p);
+    fame::PartitionSet ps(Cluster::partitionsRequired(p));
+    Cluster cluster(ps, p);
     EXPECT_EQ(cluster.size(), 496u);
     EXPECT_EQ(cluster.network().numRackSwitches(), 16u);
     EXPECT_EQ(cluster.network().numArraySwitches(), 1u);

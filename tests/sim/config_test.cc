@@ -51,8 +51,8 @@ TEST(ClusterConfig, CommandLineStyleAssignments)
 
     ClusterParams p = ClusterParams::gige1us();
     p.applyConfig(cfg);
-    Simulator sim;
-    Cluster cluster(sim, p);
+    fame::PartitionSet ps(Cluster::partitionsRequired(p));
+    Cluster cluster(ps, p);
     EXPECT_EQ(cluster.size(), 8u);
     EXPECT_EQ(cluster.kernel(0).profile().name, "linux-2.6.39.3");
 }
@@ -75,7 +75,7 @@ TEST(ClusterConfig, SeedChangesRngStreams)
     ClusterParams b = a;
     b.seed = a.seed + 1;
 
-    Simulator s1, s2;
+    fame::PartitionSet s1(1), s2(1);
     Cluster c1(s1, a), c2(s2, b);
     EXPECT_NE(c1.rng().next(), c2.rng().next());
 }

@@ -214,8 +214,8 @@ TEST(FaultInjection, ServerCrashAbortsPeersInsteadOfHangingThem)
     params.tcp.max_rto = 4_ms;
     params.tcp.max_retries = 4;
 
-    Simulator sim;
-    Cluster cluster(sim, params);
+    fame::PartitionSet ps(Cluster::partitionsRequired(params));
+    Cluster cluster(ps, params);
     SendResult r;
     cluster.kernel(1).spawnProcess(sinkServer(cluster.kernel(1)));
     cluster.kernel(0).spawnProcess(bulkSender(&cluster, &r));
@@ -224,7 +224,7 @@ TEST(FaultInjection, ServerCrashAbortsPeersInsteadOfHangingThem)
     plan.serverCrash(500_us, /*node=*/1); // mid-transfer, no reboot
     FaultController fc(cluster, plan);
     fc.install();
-    sim.run();
+    ps.runSequential(SimTime::max());
 
     // The sender's retries exhaust against the silent host and the
     // connection aborts; the blocked send returns an error rather than
@@ -244,8 +244,8 @@ TEST(FaultInjection, RebootedServerResetsStaleConnections)
     params.tcp.max_rto = 4_ms;
     params.tcp.max_retries = 200; // exhaustion would take ~a second
 
-    Simulator sim;
-    Cluster cluster(sim, params);
+    fame::PartitionSet ps(Cluster::partitionsRequired(params));
+    Cluster cluster(ps, params);
     SendResult r;
     cluster.kernel(1).spawnProcess(sinkServer(cluster.kernel(1)));
     cluster.kernel(0).spawnProcess(bulkSender(&cluster, &r));
@@ -255,7 +255,7 @@ TEST(FaultInjection, RebootedServerResetsStaleConnections)
     plan.serverReboot(5_ms, 1);
     FaultController fc(cluster, plan);
     fc.install();
-    sim.run();
+    ps.runSequential(SimTime::max());
 
     // The reboot wipes connection state, so the sender's next
     // retransmission draws an RST: the stale connection dies promptly
@@ -397,8 +397,8 @@ TEST(FaultPlan, MergeAppendsEventsAndOptionallyTakesSeed)
 TEST(FaultControllerDeathTest, ValidatesAgainstTopology)
 {
     ClusterParams params = pairParams(); // single rack: no trunks
-    Simulator sim;
-    Cluster cluster(sim, params);
+    fame::PartitionSet ps(Cluster::partitionsRequired(params));
+    Cluster cluster(ps, params);
 
     FaultPlan trunk;
     trunk.trunkDown(1_ms, 0, 0);

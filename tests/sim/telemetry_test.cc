@@ -196,12 +196,13 @@ TEST(Telemetry, StreamIsOneJsonObjectPerSample)
     std::remove(path.c_str());
 }
 
-// Single-engine runs sample via a self-rescheduling event instead of
-// window subdivision; the memcached harness's results must still be
-// bit-identical with the probe installed or absent.
-TEST(Telemetry, ProbeDoesNotPerturbSingleEngineMemcached)
+// The memcached harness subdivides its 100 ms windows at the probe's
+// sample instants; its results, window-quantized elapsed time included,
+// must be bit-identical with the probe attached or absent, on either
+// engine.
+TEST(Telemetry, ProbeDoesNotPerturbMemcached)
 {
-    auto run = [](bool with_probe, const std::string &path,
+    auto run = [](bool parallel, bool with_probe, const std::string &path,
                   uint64_t *samples) {
         apps::McExperimentParams p;
         p.cluster = ClusterParams::gige1us();
@@ -210,8 +211,8 @@ TEST(Telemetry, ProbeDoesNotPerturbSingleEngineMemcached)
         p.cluster.topo.num_arrays = 1;
         p.num_servers = 2;
         p.client.requests = 5;
-        Simulator sim;
-        apps::McExperiment exp(sim, p);
+        fame::PartitionSet ps(Cluster::partitionsRequired(p.cluster));
+        apps::McExperiment exp(ps, p);
         std::unique_ptr<TelemetryProbe> probe;
         if (with_probe) {
             probe = std::make_unique<TelemetryProbe>(
@@ -222,7 +223,7 @@ TEST(Telemetry, ProbeDoesNotPerturbSingleEngineMemcached)
             });
             exp.attachTelemetry(probe.get());
         }
-        exp.run(false);
+        exp.run(parallel);
         if (samples != nullptr) {
             *samples = probe != nullptr ? probe->samplesWritten() : 0;
         }
@@ -241,10 +242,10 @@ TEST(Telemetry, ProbeDoesNotPerturbSingleEngineMemcached)
 
     const std::string path = tmpStream("mc");
     uint64_t samples = 0;
-    std::vector<uint64_t> off = run(false, path, nullptr);
-    std::vector<uint64_t> on = run(true, path, &samples);
-    EXPECT_EQ(off, on);
+    std::vector<uint64_t> off = run(false, false, path, nullptr);
+    EXPECT_EQ(off, run(false, true, path, &samples));
     EXPECT_GT(samples, 0u);
+    EXPECT_EQ(off, run(true, true, path, nullptr));
     std::remove(path.c_str());
 }
 
@@ -256,8 +257,8 @@ TEST(TelemetryDeathTest, NonPositivePeriodIsFatal)
             p.topo.servers_per_rack = 2;
             p.topo.racks_per_array = 1;
             p.topo.num_arrays = 1;
-            Simulator sim;
-            Cluster cluster(sim, p);
+            fame::PartitionSet ps(Cluster::partitionsRequired(p));
+            Cluster cluster(ps, p);
             TelemetryProbe probe(cluster, SimTime(), "/dev/null");
         },
         "period must be positive");
