@@ -386,6 +386,15 @@ class PartitionSet {
     /** Reference implementation: same semantics, one host thread. */
     void runSequential(SimTime until);
 
+    /**
+     * True when no work is pending anywhere in the model: no partition
+     * has a queued event and no channel message is in flight, so no
+     * further run can execute anything.  A coupled process answers
+     * with the group-wide fold of its last runCoupled() barrier
+     * (false before the first one).
+     */
+    bool idle();
+
     // --- cross-process coupling -------------------------------------
 
     /**
@@ -739,6 +748,8 @@ class PartitionSet {
     bool coupled_ = false;
     bool hello_done_ = false;
     bool coupled_abandoned_ = false;
+    /** Group-wide earliest pending time at the last coupled barrier. */
+    SimTime coupled_earliest_;
     uint32_t self_rank_ = 0;
     std::vector<uint32_t> owner_of_;   ///< partition -> owning rank
     std::vector<size_t> owned_parts_;  ///< partitions this process runs

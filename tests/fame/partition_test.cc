@@ -142,6 +142,32 @@ TEST(PartitionSet, WorkloadActuallyCrossesPartitions)
     EXPECT_EQ(total, 127u);
 }
 
+TEST(PartitionSet, IdleOnlyWhenNoWorkIsPendingAnywhere)
+{
+    for (bool parallel : {false, true}) {
+        PartitionSet ps(4);
+        RingWorkload w(ps, 1_us);
+        EXPECT_TRUE(ps.idle());
+        w.inject(0, 5, 6);
+        EXPECT_FALSE(ps.idle());
+        auto run = [&](SimTime until) {
+            if (parallel) {
+                ps.runParallel(until);
+            } else {
+                ps.runSequential(until);
+            }
+        };
+        // Stop mid-ring: tokens are still travelling between partitions.
+        run(3_us);
+        EXPECT_FALSE(ps.idle());
+        run(SimTime::max());
+        EXPECT_TRUE(ps.idle()) << (parallel ? "par" : "seq");
+        EXPECT_EQ(std::accumulate(w.counters.begin(), w.counters.end(),
+                                  uint64_t{0}),
+                  127u);
+    }
+}
+
 TEST(PartitionSet, CausalityViolationPanics)
 {
     PartitionSet ps(2);
