@@ -6,33 +6,6 @@
 namespace diablo {
 namespace apps {
 
-EtcWorkloadParams
-EtcWorkloadParams::fromConfig(const Config &cfg, const std::string &prefix)
-{
-    EtcWorkloadParams p;
-    p.get_ratio = cfg.getDouble(prefix + "get_ratio", p.get_ratio);
-    p.key_mu = cfg.getDouble(prefix + "key_mu", p.key_mu);
-    p.key_sigma = cfg.getDouble(prefix + "key_sigma", p.key_sigma);
-    p.key_min = static_cast<uint32_t>(
-        cfg.getUint(prefix + "key_min", p.key_min));
-    p.key_max = static_cast<uint32_t>(
-        cfg.getUint(prefix + "key_max", p.key_max));
-    p.value_gp_scale =
-        cfg.getDouble(prefix + "value_gp_scale", p.value_gp_scale);
-    p.value_gp_shape =
-        cfg.getDouble(prefix + "value_gp_shape", p.value_gp_shape);
-    p.tiny_value_fraction = cfg.getDouble(prefix + "tiny_value_fraction",
-                                          p.tiny_value_fraction);
-    p.value_min = static_cast<uint32_t>(
-        cfg.getUint(prefix + "value_min", p.value_min));
-    p.value_max = static_cast<uint32_t>(
-        cfg.getUint(prefix + "value_max", p.value_max));
-    p.keys_per_server =
-        cfg.getUint(prefix + "keys_per_server", p.keys_per_server);
-    p.zipf_skew = cfg.getDouble(prefix + "zipf_skew", p.zipf_skew);
-    return p;
-}
-
 EtcWorkload::EtcWorkload(const EtcWorkloadParams &params, Rng rng)
     : params_(params), rng_(rng),
       zipf_(params.keys_per_server, params.zipf_skew)

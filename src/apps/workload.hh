@@ -26,7 +26,6 @@
 
 #include <cstdint>
 
-#include "core/config.hh"
 #include "core/random.hh"
 
 namespace diablo {
@@ -61,9 +60,6 @@ struct EtcWorkloadParams {
     // Popularity.
     uint64_t keys_per_server = 20000;
     double zipf_skew = 0.99;
-
-    static EtcWorkloadParams fromConfig(const Config &cfg,
-                                        const std::string &prefix);
 };
 
 /** Draws ETC-shaped requests; deterministic given the stream seed. */

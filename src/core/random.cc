@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "core/log.hh"
 
@@ -175,31 +178,71 @@ Rng::weightedChoice(const std::vector<double> &weights)
     return weights.size() - 1;
 }
 
+namespace {
+
+std::shared_ptr<const std::vector<double>>
+buildZipfCdf(size_t n, double skew)
+{
+    auto cdf = std::make_shared<std::vector<double>>(n);
+    double acc = 0;
+    for (size_t i = 0; i < n; ++i) {
+        acc += 1.0 / std::pow(static_cast<double>(i + 1), skew);
+        (*cdf)[i] = acc;
+    }
+    for (auto &v : *cdf) {
+        v /= acc;
+    }
+    return cdf;
+}
+
+/**
+ * Look up or build the shared CDF for (n, skew).  Entries are weak, so
+ * the cache never keeps a table alive; expired entries are swept
+ * whenever a table is built.
+ */
+std::shared_ptr<const std::vector<double>>
+sharedZipfCdf(size_t n, double skew)
+{
+    static std::mutex mu;
+    static std::map<std::pair<size_t, double>,
+                    std::weak_ptr<const std::vector<double>>>
+        cache;
+    std::lock_guard<std::mutex> lock(mu);
+    auto &slot = cache[{n, skew}];
+    if (auto cdf = slot.lock()) {
+        return cdf;
+    }
+    auto cdf = buildZipfCdf(n, skew);
+    slot = cdf;
+    std::erase_if(cache, [](const auto &e) { return e.second.expired(); });
+    return cdf;
+}
+
+} // namespace
+
 ZipfSampler::ZipfSampler(size_t n, double skew)
 {
     if (n == 0) {
         fatal("ZipfSampler: empty domain");
     }
-    cdf_.resize(n);
-    double acc = 0;
-    for (size_t i = 0; i < n; ++i) {
-        acc += 1.0 / std::pow(static_cast<double>(i + 1), skew);
-        cdf_[i] = acc;
+    // The cache is keyed on skew, and a NaN key would compare equal to
+    // every other skew under the map's ordering.
+    if (!std::isfinite(skew) || skew < 0) {
+        fatal("ZipfSampler: skew %g must be finite and non-negative", skew);
     }
-    for (auto &v : cdf_) {
-        v /= acc;
-    }
+    cdf_ = sharedZipfCdf(n, skew);
 }
 
 size_t
 ZipfSampler::sample(Rng &rng) const
 {
+    const std::vector<double> &cdf = *cdf_;
     double u = rng.uniform();
-    auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    if (it == cdf_.end()) {
-        return cdf_.size() - 1;
+    auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+    if (it == cdf.end()) {
+        return cdf.size() - 1;
     }
-    return static_cast<size_t>(it - cdf_.begin());
+    return static_cast<size_t>(it - cdf.begin());
 }
 
 } // namespace diablo

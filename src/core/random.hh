@@ -14,6 +14,7 @@
  */
 
 #include <cstdint>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -86,20 +87,27 @@ class Rng {
 /**
  * Zipf-distributed integer sampler over [0, n).
  *
- * Precomputes the CDF once, so sampling is O(log n); used for key
- * popularity in the memcached workload generator.
+ * The CDF is computed once per (n, skew) per process and shared,
+ * read-only, by every sampler with that pair: a memcached array's
+ * clients all draw key ranks from one table instead of each holding a
+ * private copy.  A process-wide cache holds weak references, so a table
+ * is freed with its last sampler.  Sampling is O(log n).
  */
 class ZipfSampler {
   public:
+    /** Fatal if @p n is 0 or @p skew is negative or not finite. */
     ZipfSampler(size_t n, double skew);
 
     /** Draw a rank in [0, n); rank 0 is the most popular. */
     size_t sample(Rng &rng) const;
 
-    size_t size() const { return cdf_.size(); }
+    size_t size() const { return cdf_->size(); }
+
+    /** The normalized CDF; samplers with equal (n, skew) share it. */
+    const std::vector<double> &cdf() const { return *cdf_; }
 
   private:
-    std::vector<double> cdf_;
+    std::shared_ptr<const std::vector<double>> cdf_;
 };
 
 } // namespace diablo

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <thread>
+#include <vector>
 
 #include "core/random.hh"
 
@@ -185,6 +189,101 @@ TEST(ZipfSampler, CoversDomain)
     for (bool s : seen) {
         EXPECT_TRUE(s);
     }
+}
+
+/** The CDF each sampler built for itself before tables were shared. */
+std::vector<double>
+perInstanceZipfCdf(size_t n, double skew)
+{
+    std::vector<double> cdf(n);
+    double acc = 0;
+    for (size_t i = 0; i < n; ++i) {
+        acc += 1.0 / std::pow(static_cast<double>(i + 1), skew);
+        cdf[i] = acc;
+    }
+    for (auto &v : cdf) {
+        v /= acc;
+    }
+    return cdf;
+}
+
+TEST(ZipfSampler, EqualParametersShareOneTable)
+{
+    ZipfSampler a(20000, 0.99), b(20000, 0.99);
+    EXPECT_EQ(&a.cdf(), &b.cdf());
+    ZipfSampler other_n(20001, 0.99), other_skew(20000, 0.98);
+    EXPECT_NE(&other_n.cdf(), &a.cdf());
+    EXPECT_NE(&other_skew.cdf(), &a.cdf());
+    EXPECT_NE(&other_n.cdf(), &other_skew.cdf());
+    EXPECT_EQ(other_n.size(), 20001u);
+    EXPECT_EQ(other_skew.size(), 20000u);
+}
+
+TEST(ZipfSampler, DrawsMatchPerInstanceReference)
+{
+    const std::vector<double> ref = perInstanceZipfCdf(20000, 0.99);
+    ZipfSampler z(20000, 0.99);
+    ASSERT_EQ(z.cdf(), ref); // bit-identical values, not just close
+    Rng a(41), b(41);
+    for (int i = 0; i < 10000; ++i) {
+        double u = b.uniform();
+        auto it = std::lower_bound(ref.begin(), ref.end(), u);
+        size_t want = it == ref.end()
+                          ? ref.size() - 1
+                          : static_cast<size_t>(it - ref.begin());
+        ASSERT_EQ(z.sample(a), want) << "draw " << i;
+    }
+}
+
+TEST(ZipfSampler, RebuildsAfterLastSamplerIsGone)
+{
+    // A pair no other test uses, so this test's samplers are its only
+    // users and the table dies with the first one.
+    const std::vector<double> ref = perInstanceZipfCdf(777, 1.25);
+    {
+        ZipfSampler first(777, 1.25);
+        ASSERT_EQ(first.cdf(), ref);
+    }
+    ZipfSampler again(777, 1.25);
+    EXPECT_EQ(again.cdf(), ref);
+}
+
+TEST(ZipfSampler, ConcurrentConstructionSharesOneTable)
+{
+    constexpr int kThreads = 4;
+    std::vector<const std::vector<double> *> seen(kThreads);
+    std::vector<std::thread> threads;
+    {
+        ZipfSampler anchor(5000, 0.8);
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&seen, t] {
+                for (int i = 0; i < 100; ++i) {
+                    ZipfSampler z(5000, 0.8);
+                    seen[t] = &z.cdf();
+                }
+            });
+        }
+        for (auto &th : threads) {
+            th.join();
+        }
+        for (const auto *p : seen) {
+            EXPECT_EQ(p, &anchor.cdf());
+        }
+    }
+}
+
+TEST(ZipfSamplerDeathTest, RejectsBadSkew)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_EXIT(ZipfSampler(10, nan), testing::ExitedWithCode(1),
+                "skew -?nan must be finite");
+    EXPECT_EXIT(ZipfSampler(10, inf), testing::ExitedWithCode(1),
+                "skew inf must be finite");
+    EXPECT_EXIT(ZipfSampler(10, -0.5), testing::ExitedWithCode(1),
+                "skew -0.5 must be finite and non-negative");
+    EXPECT_EXIT(ZipfSampler(0, 0.99), testing::ExitedWithCode(1),
+                "empty domain");
 }
 
 } // namespace

@@ -198,7 +198,9 @@ TEST(RunInterrupt, GenerousWatchdogIsObserverFree)
 }
 
 /** Shared spec for the sweep tests: 4 grid points, two of them slow
- *  enough (~1 s) that a sub-second timeout reliably kills them. */
+ *  enough (~1 s) that a sub-second timeout reliably kills them.  The
+ *  par points run one worker, so the fast par point stays as fast as
+ *  its seq twin on a loaded host instead of racing the timeout. */
 void
 writeMixSpec(const std::string &path)
 {
@@ -206,6 +208,7 @@ writeMixSpec(const std::string &path)
     out << "sweep.name = robustness\n"
         << "workload = incast\n"
         << "engine = seq,par\n"
+        << "threads = 1\n"
         << "incast.block_bytes = 4096,262144\n"
         << "incast.servers = 32\n"
         << "incast.racks = 4\n"

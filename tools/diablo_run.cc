@@ -333,7 +333,10 @@ makeProbe(const Config &cfg, sim::Cluster &cluster, const RunOpts &opts)
  * Build the run watchdog when run.deadline / run.stall (wall-clock
  * seconds) are configured.  The diagnostic dump reads engine state
  * best-effort — the run may be wedged mid-quantum, so the values are
- * for post-mortems, not for consumption by tools.
+ * for post-mortems, not for consumption by tools.  It runs on the
+ * watchdog thread while the run goes on, so it must only read: the
+ * event queue's nextTime() prunes cancelled entries, and calling it
+ * here once corrupted a live heap into a causality panic.
  */
 std::unique_ptr<sim::Watchdog>
 makeWatchdog(const Config &cfg, sim::Cluster &cluster)
@@ -355,10 +358,8 @@ makeWatchdog(const Config &cfg, sim::Cluster &cluster)
                          ps.totalExecutedEvents()));
         for (size_t i = 0; i < ps.size(); ++i) {
             Simulator &p = ps.partition(i);
-            std::fprintf(stderr,
-                         "  part %zu: now=%s next_event=%s events=%llu\n",
-                         i, p.now().str().c_str(),
-                         p.nextEventTime().str().c_str(),
+            std::fprintf(stderr, "  part %zu: now=%s events=%llu\n", i,
+                         p.now().str().c_str(),
                          static_cast<unsigned long long>(
                              p.executedEvents()));
         }
