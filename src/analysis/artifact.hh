@@ -73,7 +73,7 @@ struct RunArtifact {
     std::string status = "ok";
     /** Why an interrupted run stopped ("SIGTERM", "watchdog-stall"). */
     std::string interrupt_cause;
-    std::string engine; ///< "seq" | "par" | "mp"
+    std::string engine; ///< "seq" | "par"
     uint64_t threads_requested = 0;
     uint64_t partitions = 1;
     uint64_t workers = 1;

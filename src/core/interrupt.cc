@@ -69,8 +69,6 @@ interruptCauseName()
         return "watchdog-deadline";
     case kCauseWatchdogStall:
         return "watchdog-stall";
-    case kCausePeer:
-        return "peer-interrupt";
     default:
         return "signal";
     }

@@ -44,8 +44,6 @@ constexpr int kExitWatchdog = 76;
  */
 constexpr int kCauseWatchdogDeadline = -1;
 constexpr int kCauseWatchdogStall = -2;
-/** A peer engine process of a coupled run was interrupted or died. */
-constexpr int kCausePeer = -3;
 
 /**
  * Install SIGINT/SIGTERM handlers that record the signal and request a

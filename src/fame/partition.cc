@@ -4,7 +4,6 @@
 #include <cstring>
 #include <map>
 
-#include "core/interrupt.hh"
 #include "core/log.hh"
 
 namespace diablo {
@@ -32,9 +31,7 @@ PartitionSet::Channel::validatePost(SimTime when) const
     // the model really has.  Catch it here, where the offending channel
     // and times are known, instead of as a drain-time causality panic
     // (or worse, a message landing exactly on the destination clock and
-    // silently executing one quantum late).  Shared by post and
-    // postRecord so the in-process and cross-process paths fail with
-    // one diagnostic.
+    // silently executing one quantum late).
     const SimTime now = owner_->parts_[src_]->now();
     if (when < now + min_latency_) {
         panic("PartitionSet: channel %s: post(when=%s) violates "
@@ -49,12 +46,6 @@ void
 PartitionSet::Channel::post(SimTime when, EventFn fn)
 {
     validatePost(when);
-    if (remote_out_) {
-        panic("PartitionSet: channel %s: closure post on a channel whose "
-              "destination partition is owned by another process (the "
-              "wiring layer must use the record path)",
-              name_.c_str());
-    }
     if (pending_.empty()) {
         // First post of this quantum: register on the posting worker's
         // dirty list.  Posts run in source-partition events, so exactly
@@ -155,10 +146,6 @@ PartitionSet::makeChannel(size_t src, size_t dst, SimTime min_latency,
 {
     if (src >= parts_.size() || dst >= parts_.size()) {
         fatal("PartitionSet: channel endpoints out of range");
-    }
-    if (coupled_) {
-        fatal("PartitionSet: makeChannel after enableCoupled (channel "
-              "classification is fixed at coupling time)");
     }
     if (min_latency <= SimTime()) {
         fatal("PartitionSet: channel latency must be positive "
@@ -679,15 +666,6 @@ PartitionSet::runSequential(SimTime until)
     endRunStats();
 }
 
-bool
-PartitionSet::idle()
-{
-    if (coupled_) {
-        return coupled_earliest_ == SimTime::max();
-    }
-    return earliestPendingTime() == SimTime::max();
-}
-
 void
 PartitionSet::parallelQuantumEnd() noexcept
 {
@@ -884,707 +862,6 @@ PartitionSet::runParallel(SimTime until)
         run_active_ = false;
     }
     endRunStats();
-}
-
-// --- cross-process coupled engine -----------------------------------
-
-namespace {
-
-/**
- * Abandonment budgets for one coupled wait: a healthy peer answers a
- * barrier in microseconds, so a long silence means it died (crash, OOM
- * kill) — give up and unwind instead of hanging the group.  Once an
- * interrupt is pending the budget collapses: the operator asked to
- * stop, and a dead peer must not delay the partial artifact.
- */
-constexpr int64_t kCoupledWaitBudgetNs = 60LL * 1000 * 1000 * 1000;
-constexpr int64_t kCoupledInterruptedBudgetNs = 2LL * 1000 * 1000 * 1000;
-
-int64_t
-coupledWaitBudgetNs()
-{
-    return core::interruptRequested() ? kCoupledInterruptedBudgetNs
-                                      : kCoupledWaitBudgetNs;
-}
-
-uint64_t
-fnv1a(const void *bytes, size_t n, uint64_t h = 1469598103934665603ULL)
-{
-    const auto *p = static_cast<const uint8_t *>(bytes);
-    for (size_t i = 0; i < n; ++i) {
-        h = (h ^ p[i]) * 1099511628211ULL;
-    }
-    return h;
-}
-
-} // namespace
-
-void
-PartitionSet::setChannelDecoder(Channel &ch, RecordDecoder decoder)
-{
-    if (!decoder) {
-        fatal("PartitionSet: setChannelDecoder(%s): null decoder",
-              ch.name_.c_str());
-    }
-    ch.decoder_ = std::move(decoder);
-}
-
-void
-PartitionSet::postRecord(Channel &ch, SimTime when, const void *bytes,
-                         uint32_t len)
-{
-    ch.validatePost(when);
-    if (ch.cls_ == Channel::Cls::Out) {
-        // Destination owned by a peer process: buffer the bytes; the
-        // window barrier flushes every out-dirty channel in index
-        // order.  Packed [i64 when][u32 len][payload]; the buffer
-        // keeps its capacity across windows like pending_ does.
-        if (ch.out_pending_.empty()) {
-            out_dirty_.push_back(ch.index_);
-        }
-        const int64_t when_ps = when.toPs();
-        const size_t off = ch.out_pending_.size();
-        ch.out_pending_.resize(off + sizeof(when_ps) + sizeof(len) + len);
-        std::memcpy(ch.out_pending_.data() + off, &when_ps,
-                    sizeof(when_ps));
-        std::memcpy(ch.out_pending_.data() + off + sizeof(when_ps), &len,
-                    sizeof(len));
-        std::memcpy(ch.out_pending_.data() + off + sizeof(when_ps) +
-                        sizeof(len),
-                    bytes, len);
-        ch.out_min_ = std::min(ch.out_min_, when);
-        return;
-    }
-    if (coupled_ && ch.cls_ != Channel::Cls::Local) {
-        panic("PartitionSet: channel %s: record posted from a partition "
-              "this process does not own (classification %s)",
-              ch.name_.c_str(),
-              ch.cls_ == Channel::Cls::In ? "inbound" : "foreign");
-    }
-    // Local (or uncoupled) delivery: materialize through the decoder
-    // and post like any closure — identical queue position, so the
-    // record path is bit-compatible with hand-posted deliveries.
-    if (!ch.decoder_) {
-        panic("PartitionSet: channel %s: postRecord without a decoder",
-              ch.name_.c_str());
-    }
-    Simulator &dst = *parts_[ch.dst_];
-    ch.post(when, ch.decoder_(dst, when, bytes, len));
-}
-
-void
-PartitionSet::enableCoupled(const CoupledOptions &opts)
-{
-    if (coupled_) {
-        fatal("PartitionSet: enableCoupled called twice");
-    }
-    if (opts.owner_of.size() != parts_.size()) {
-        fatal("PartitionSet: enableCoupled: owner map covers %zu "
-              "partitions, set has %zu",
-              opts.owner_of.size(), parts_.size());
-    }
-    uint32_t max_rank = opts.self_rank;
-    for (uint32_t r : opts.owner_of) {
-        max_rank = std::max(max_rank, r);
-    }
-    peer_of_rank_.assign(max_rank + 1, UINT32_MAX);
-    for (const auto &[rank, tr] : opts.peers) {
-        if (rank == opts.self_rank || rank > max_rank || tr == nullptr) {
-            fatal("PartitionSet: enableCoupled: bad peer entry (rank %u)",
-                  rank);
-        }
-        if (peer_of_rank_[rank] != UINT32_MAX) {
-            fatal("PartitionSet: enableCoupled: duplicate peer rank %u",
-                  rank);
-        }
-        peer_of_rank_[rank] = static_cast<uint32_t>(peers_.size());
-        PeerState ps;
-        ps.rank = rank;
-        ps.tr = tr;
-        peers_.push_back(std::move(ps));
-    }
-    owner_of_ = opts.owner_of;
-    self_rank_ = opts.self_rank;
-    coupled_spin_ = opts.spin_budget;
-    coupled_timeout_ns_ = opts.wait_timeout_ns;
-
-    owned_parts_.clear();
-    for (size_t p = 0; p < parts_.size(); ++p) {
-        if (owner_of_[p] == self_rank_) {
-            owned_parts_.push_back(p);
-        } else if (peer_of_rank_[owner_of_[p]] == UINT32_MAX) {
-            fatal("PartitionSet: enableCoupled: partition %zu is owned "
-                  "by rank %u but no transport to that rank was given",
-                  p, owner_of_[p]);
-        }
-    }
-    if (owned_parts_.empty()) {
-        fatal("PartitionSet: enableCoupled: rank %u owns no partitions",
-              self_rank_);
-    }
-
-    for (auto &chp : channels_) {
-        Channel &ch = *chp;
-        const bool src_owned = owner_of_[ch.src_] == self_rank_;
-        const bool dst_owned = owner_of_[ch.dst_] == self_rank_;
-        ch.cls_ = src_owned
-                      ? (dst_owned ? Channel::Cls::Local
-                                   : Channel::Cls::Out)
-                      : (dst_owned ? Channel::Cls::In
-                                   : Channel::Cls::Foreign);
-        ch.remote_out_ = ch.cls_ == Channel::Cls::Out;
-        if (ch.cls_ == Channel::Cls::In && !ch.decoder_) {
-            fatal("PartitionSet: enableCoupled: inbound channel %s has "
-                  "no decoder; its records could never materialize",
-                  ch.name_.c_str());
-        }
-    }
-
-    recv_scratch_.resize(SpscRecordRing::kMaxRecordBytes);
-    coupled_ = true;
-}
-
-SimTime
-PartitionSet::coupledContrib()
-{
-    // Everything this process knows that could fire in a future
-    // window: owned partitions' next events, local channel messages
-    // not yet drained, and outbound records not yet flushed.  Peers
-    // report the same for their shares; the fold of all contributions
-    // equals runSequential's full earliestPendingTime() scan exactly.
-    SimTime m = SimTime::max();
-    for (size_t p : owned_parts_) {
-        m = std::min(m, parts_[p]->nextEventTime());
-    }
-    const WorkerLane &lane = lanes_[0];
-    for (uint32_t i = 0; i < lane.dirty_count; ++i) {
-        for (const auto &msg : channels_[lane.dirty[i]]->pending_) {
-            m = std::min(m, msg.when);
-        }
-    }
-    for (uint32_t idx : out_dirty_) {
-        m = std::min(m, channels_[idx]->out_min_);
-    }
-    return m;
-}
-
-void
-PartitionSet::pollPeer(size_t pi)
-{
-    PeerState &ps = peers_[pi];
-    auto openBatch = [&ps]() -> PeerState::Batch & {
-        if (ps.batches.empty() || ps.batches.back().complete) {
-            ps.batches.emplace_back();
-        }
-        return ps.batches.back();
-    };
-    for (;;) {
-        const uint32_t n = ps.tr->tryRecv(
-            recv_scratch_.data(),
-            static_cast<uint32_t>(recv_scratch_.size()));
-        if (n == 0) {
-            return;
-        }
-        coupled_stats_.bytes_recv += n;
-        uint32_t kind = 0;
-        if (n < sizeof(kind)) {
-            panic("PartitionSet: coupled: runt record (%u bytes) from "
-                  "rank %u",
-                  n, ps.rank);
-        }
-        std::memcpy(&kind, recv_scratch_.data(), sizeof(kind));
-        switch (kind) {
-        case kWireHello: {
-            if (n != sizeof(WireHello)) {
-                panic("PartitionSet: coupled: HELLO of %u bytes from "
-                      "rank %u (want %zu)",
-                      n, ps.rank, sizeof(WireHello));
-            }
-            std::memcpy(&ps.hello, recv_scratch_.data(),
-                        sizeof(WireHello));
-            ps.hello_seen = true;
-            break;
-        }
-        case kWireMsg: {
-            WireMsgHdr hdr;
-            if (n < sizeof(hdr)) {
-                panic("PartitionSet: coupled: truncated MSG header from "
-                      "rank %u",
-                      ps.rank);
-            }
-            std::memcpy(&hdr, recv_scratch_.data(), sizeof(hdr));
-            if (n != sizeof(hdr) + hdr.len ||
-                hdr.channel >= channels_.size()) {
-                panic("PartitionSet: coupled: malformed MSG from rank "
-                      "%u (channel %u, len %u, record %u)",
-                      ps.rank, hdr.channel, hdr.len, n);
-            }
-            PeerState::Batch &b = openBatch();
-            // Re-pack as [u32 channel][u32 len][i64 when][payload].
-            const size_t off = b.data.size();
-            b.offsets.push_back(off);
-            b.data.resize(off + sizeof(hdr.channel) + sizeof(hdr.len) +
-                          sizeof(hdr.when_ps) + hdr.len);
-            uint8_t *w = b.data.data() + off;
-            std::memcpy(w, &hdr.channel, sizeof(hdr.channel));
-            w += sizeof(hdr.channel);
-            std::memcpy(w, &hdr.len, sizeof(hdr.len));
-            w += sizeof(hdr.len);
-            std::memcpy(w, &hdr.when_ps, sizeof(hdr.when_ps));
-            w += sizeof(hdr.when_ps);
-            std::memcpy(w, recv_scratch_.data() + sizeof(hdr), hdr.len);
-            ++coupled_stats_.msgs_recv;
-            break;
-        }
-        case kWireSync: {
-            WireSync s;
-            if (n != sizeof(s)) {
-                panic("PartitionSet: coupled: SYNC of %u bytes from "
-                      "rank %u (want %zu)",
-                      n, ps.rank, sizeof(s));
-            }
-            std::memcpy(&s, recv_scratch_.data(), sizeof(s));
-            PeerState::Batch &b = openBatch();
-            b.seq = s.seq;
-            b.bound_ps = s.bound_ps;
-            b.contrib_ps = s.contrib_ps;
-            b.complete = true;
-            ++coupled_stats_.sync_recv;
-            break;
-        }
-        default:
-            panic("PartitionSet: coupled: unknown record kind %u from "
-                  "rank %u",
-                  kind, ps.rank);
-        }
-    }
-}
-
-void
-PartitionSet::pollAllPeers()
-{
-    for (size_t pi = 0; pi < peers_.size(); ++pi) {
-        pollPeer(pi);
-    }
-}
-
-bool
-PartitionSet::coupledSend(size_t pi, const void *bytes, uint32_t n)
-{
-    PeerState &ps = peers_[pi];
-    int64_t waited_ns = 0;
-    while (!ps.tr->trySend(bytes, n)) {
-        // Ring full: the peer is behind consuming us.  Drain our own
-        // inbound rings while stalled — a blocked producer that keeps
-        // consuming means some process in the group always makes
-        // progress, so a full ring cycle can never deadlock.
-        pollAllPeers();
-        if (ps.tr->peerAborted()) {
-            return false;
-        }
-        if (!ps.tr->waitForSpace(n, coupled_spin_, coupled_timeout_ns_)) {
-            waited_ns += coupled_timeout_ns_;
-            if (waited_ns >= coupledWaitBudgetNs()) {
-                log::warn("PartitionSet: coupled: rank %u stopped "
-                          "consuming (%lld ms); abandoning run",
-                          ps.rank,
-                          static_cast<long long>(waited_ns / 1000000));
-                return false;
-            }
-        }
-    }
-    coupled_stats_.bytes_sent += n;
-    return true;
-}
-
-bool
-PartitionSet::flushOutgoing()
-{
-    // Index order, like every drain: the receiving process schedules
-    // records in the order they arrive per channel, so the sender must
-    // emit channels deterministically.
-    std::sort(out_dirty_.begin(), out_dirty_.end());
-    for (uint32_t idx : out_dirty_) {
-        Channel &ch = *channels_[idx];
-        const uint32_t pi = peer_of_rank_[owner_of_[ch.dst_]];
-        size_t off = 0;
-        while (off < ch.out_pending_.size()) {
-            WireMsgHdr hdr;
-            hdr.channel = idx;
-            std::memcpy(&hdr.when_ps, ch.out_pending_.data() + off,
-                        sizeof(hdr.when_ps));
-            off += sizeof(hdr.when_ps);
-            std::memcpy(&hdr.len, ch.out_pending_.data() + off,
-                        sizeof(hdr.len));
-            off += sizeof(hdr.len);
-            wire_scratch_.resize(sizeof(hdr) + hdr.len);
-            std::memcpy(wire_scratch_.data(), &hdr, sizeof(hdr));
-            std::memcpy(wire_scratch_.data() + sizeof(hdr),
-                        ch.out_pending_.data() + off, hdr.len);
-            off += hdr.len;
-            if (!coupledSend(pi, wire_scratch_.data(),
-                             static_cast<uint32_t>(wire_scratch_.size()))) {
-                return false;
-            }
-            ++coupled_stats_.msgs_sent;
-        }
-        ch.out_pending_.clear(); // keeps capacity
-        ch.out_min_ = SimTime::max();
-    }
-    out_dirty_.clear();
-    return true;
-}
-
-bool
-PartitionSet::awaitBatch(size_t pi, uint64_t seq)
-{
-    PeerState &ps = peers_[pi];
-    auto ready = [&ps] {
-        return !ps.batches.empty() && ps.batches.front().complete;
-    };
-    pollAllPeers();
-    if (ready()) {
-        // Free-run: the peer already published this barrier, so the
-        // "wait" costs one ring drain and no synchronization at all.
-        ++coupled_stats_.waits_elided;
-    } else {
-        ++coupled_stats_.waits_blocked;
-        int64_t waited_ns = 0;
-        while (!ready()) {
-            if (ps.tr->peerAborted()) {
-                return false;
-            }
-            const bool got =
-                ps.tr->waitForData(coupled_spin_, coupled_timeout_ns_);
-            pollAllPeers();
-            if (!got && !ready()) {
-                waited_ns += coupled_timeout_ns_;
-                if (waited_ns >= coupledWaitBudgetNs()) {
-                    log::warn("PartitionSet: coupled: rank %u silent at "
-                              "barrier %llu (%lld ms); abandoning run",
-                              ps.rank,
-                              static_cast<unsigned long long>(seq),
-                              static_cast<long long>(waited_ns /
-                                                     1000000));
-                    return false;
-                }
-            }
-        }
-    }
-    const PeerState::Batch &b = ps.batches.front();
-    if (b.seq != seq) {
-        panic("PartitionSet: coupled protocol error: rank %u delivered "
-              "barrier %llu while %llu was expected",
-              ps.rank, static_cast<unsigned long long>(b.seq),
-              static_cast<unsigned long long>(seq));
-    }
-    return true;
-}
-
-void
-PartitionSet::coupledDrain()
-{
-    // Merged drain: local dirty channels (whole pending_ vectors) and
-    // every peer's front batch (individual records), ordered by global
-    // channel index — the same order drainDirtyChannels uses — so the
-    // destination-queue insertion sequence is independent of which
-    // process a message came from.  A channel is local-dirty xor
-    // inbound (its source is owned xor foreign), so the two entry
-    // kinds never interleave within one channel.
-    coupled_drain_scratch_.clear();
-    WorkerLane &lane = lanes_[0];
-    for (uint32_t i = 0; i < lane.dirty_count; ++i) {
-        coupled_drain_scratch_.push_back(
-            CoupledDrainEntry{lane.dirty[i], UINT32_MAX, 0});
-    }
-    lane.dirty_count = 0;
-    for (size_t pi = 0; pi < peers_.size(); ++pi) {
-        const PeerState::Batch &b = peers_[pi].batches.front();
-        for (size_t r = 0; r < b.offsets.size(); ++r) {
-            uint32_t channel = 0;
-            std::memcpy(&channel, b.data.data() + b.offsets[r],
-                        sizeof(channel));
-            coupled_drain_scratch_.push_back(CoupledDrainEntry{
-                channel, static_cast<uint32_t>(pi),
-                static_cast<uint32_t>(r)});
-        }
-    }
-    std::stable_sort(coupled_drain_scratch_.begin(),
-                     coupled_drain_scratch_.end(),
-                     [](const CoupledDrainEntry &a,
-                        const CoupledDrainEntry &b) {
-                         return a.channel < b.channel;
-                     });
-    for (const CoupledDrainEntry &e : coupled_drain_scratch_) {
-        Channel &ch = *channels_[e.channel];
-        Simulator &dst = *parts_[ch.dst_];
-        if (e.peer == UINT32_MAX) {
-            for (auto &msg : ch.pending_) {
-                if (msg.when < dst.now()) {
-                    panic("PartitionSet: channel %s: causality violation "
-                          "(message at %s behind partition clock %s)",
-                          ch.name_.c_str(), msg.when.str().c_str(),
-                          dst.now().str().c_str());
-                }
-                dst.scheduleAt(msg.when, std::move(msg.fn));
-            }
-            ch.pending_.clear();
-            continue;
-        }
-        if (ch.cls_ != Channel::Cls::In) {
-            panic("PartitionSet: coupled: rank %u sent a record on "
-                  "channel %s, whose destination it owns itself",
-                  peers_[e.peer].rank, ch.name_.c_str());
-        }
-        const PeerState::Batch &b = peers_[e.peer].batches.front();
-        const uint8_t *rec = b.data.data() + b.offsets[e.rec];
-        uint32_t len = 0;
-        int64_t when_ps = 0;
-        std::memcpy(&len, rec + sizeof(uint32_t), sizeof(len));
-        std::memcpy(&when_ps, rec + 2 * sizeof(uint32_t),
-                    sizeof(when_ps));
-        const uint8_t *payload =
-            rec + 2 * sizeof(uint32_t) + sizeof(when_ps);
-        const SimTime when = SimTime::ps(when_ps);
-        if (when < dst.now()) {
-            // Receiver-side lookahead check: the peer's conservative
-            // contract was violated (or its clock diverged) — same
-            // diagnostic as the in-process drain.
-            panic("PartitionSet: channel %s: causality violation "
-                  "(message at %s behind partition clock %s)",
-                  ch.name_.c_str(), when.str().c_str(),
-                  dst.now().str().c_str());
-        }
-        dst.scheduleAt(when, ch.decoder_(dst, when, payload, len));
-    }
-    for (auto &ps : peers_) {
-        ps.batches.pop_front();
-    }
-}
-
-bool
-PartitionSet::coupledBarrier(SimTime bound, SimTime contrib,
-                             SimTime *global)
-{
-    if (!flushOutgoing()) {
-        return false;
-    }
-    WireSync sync;
-    sync.seq = sync_seq_;
-    sync.bound_ps = bound.toPs();
-    sync.contrib_ps = contrib.toPs();
-    for (size_t pi = 0; pi < peers_.size(); ++pi) {
-        if (!coupledSend(pi, &sync, sizeof(sync))) {
-            return false;
-        }
-        ++coupled_stats_.sync_sent;
-    }
-    SimTime g = contrib;
-    for (size_t pi = 0; pi < peers_.size(); ++pi) {
-        if (!awaitBatch(pi, sync_seq_)) {
-            return false;
-        }
-        const PeerState::Batch &b = peers_[pi].batches.front();
-        if (b.bound_ps != sync.bound_ps) {
-            // Both sides computed this window bound from the same
-            // global fold; divergence means the lockstep (and with it
-            // the determinism contract) is broken — stop loudly.
-            panic("PartitionSet: coupled window divergence at barrier "
-                  "%llu: rank %u bound %lld ps, local bound %lld ps",
-                  static_cast<unsigned long long>(sync_seq_),
-                  peers_[pi].rank, static_cast<long long>(b.bound_ps),
-                  static_cast<long long>(sync.bound_ps));
-        }
-        g = std::min(g, SimTime::ps(b.contrib_ps));
-    }
-    ++sync_seq_;
-    coupledDrain();
-    *global = g;
-    return true;
-}
-
-bool
-PartitionSet::exchangeHello()
-{
-    WireHello mine;
-    mine.self_rank = self_rank_;
-    mine.partitions = static_cast<uint32_t>(parts_.size());
-    mine.channels = static_cast<uint32_t>(channels_.size());
-    mine.quantum_ps = quantum().toPs();
-    mine.owner_hash =
-        fnv1a(owner_of_.data(), owner_of_.size() * sizeof(uint32_t));
-    for (size_t pi = 0; pi < peers_.size(); ++pi) {
-        if (!coupledSend(pi, &mine, sizeof(mine))) {
-            return false;
-        }
-    }
-    for (size_t pi = 0; pi < peers_.size(); ++pi) {
-        PeerState &ps = peers_[pi];
-        int64_t waited_ns = 0;
-        while (!ps.hello_seen) {
-            if (ps.tr->peerAborted()) {
-                return false;
-            }
-            const bool got =
-                ps.tr->waitForData(coupled_spin_, coupled_timeout_ns_);
-            pollAllPeers();
-            if (!got && !ps.hello_seen) {
-                waited_ns += coupled_timeout_ns_;
-                if (waited_ns >= coupledWaitBudgetNs()) {
-                    log::warn("PartitionSet: coupled: no HELLO from "
-                              "rank %u; abandoning run",
-                              ps.rank);
-                    return false;
-                }
-            }
-        }
-        const WireHello &h = ps.hello;
-        // A mismatch is a launcher bug (the processes built different
-        // models), not a runtime condition: fail fast and loudly.
-        if (h.magic != mine.magic || h.version != mine.version) {
-            fatal("PartitionSet: coupled: rank %u spoke a different "
-                  "protocol (magic %llx version %u)",
-                  ps.rank, static_cast<unsigned long long>(h.magic),
-                  h.version);
-        }
-        if (h.self_rank != ps.rank) {
-            fatal("PartitionSet: coupled: transport to rank %u is "
-                  "wired to rank %u (launcher ring mix-up)",
-                  ps.rank, h.self_rank);
-        }
-        if (h.partitions != mine.partitions ||
-            h.channels != mine.channels ||
-            h.quantum_ps != mine.quantum_ps ||
-            h.owner_hash != mine.owner_hash) {
-            fatal("PartitionSet: coupled: rank %u built a different "
-                  "model (partitions %u/%u, channels %u/%u, quantum "
-                  "%lld/%lld ps, owner hash %llx/%llx)",
-                  ps.rank, h.partitions, mine.partitions, h.channels,
-                  mine.channels, static_cast<long long>(h.quantum_ps),
-                  static_cast<long long>(mine.quantum_ps),
-                  static_cast<unsigned long long>(h.owner_hash),
-                  static_cast<unsigned long long>(mine.owner_hash));
-        }
-    }
-    return true;
-}
-
-void
-PartitionSet::abandonCoupled()
-{
-    for (auto &ps : peers_) {
-        ps.tr->abort();
-    }
-    coupled_abandoned_ = true;
-}
-
-bool
-PartitionSet::runCoupled(SimTime until)
-{
-    if (!coupled_) {
-        fatal("PartitionSet: runCoupled without enableCoupled");
-    }
-    if (coupled_abandoned_) {
-        return false;
-    }
-    const SimTime q = quantum();
-    // Single in-process worker: the coupled engine's intra-process
-    // concurrency is the peer processes, and the 1-worker fusion gives
-    // Channel::post its dirty-lane bookkeeping.
-    assignPartitions(1);
-    beginRunStats();
-    if (!hello_done_) {
-        if (!exchangeHello()) {
-            abandonCoupled();
-            endRunStats();
-            return false;
-        }
-        hello_done_ = true;
-    }
-    // Entry exchange: every process contributes its owned share of the
-    // earliest-pending fold, replacing runSequential's entry full scan
-    // with identical semantics, so each drive-loop call rediscovers
-    // the same window sequence from t = 0.  The sentinel bound (-1)
-    // doubles as a lockstep check: peers must be at their entry too.
-    bool ok = true;
-    SimTime t;
-    SimTime global;
-    if (!coupledBarrier(SimTime::ps(-1), coupledContrib(), &global)) {
-        ok = false;
-    }
-    if (ok && skip_idle_) {
-        t = windowForEarliest(global, t, q, until);
-    }
-    while (ok && t < until) {
-        const SimTime bound = windowEnd(t, q, until);
-        for (size_t p : owned_parts_) {
-            parts_[p]->runBefore(bound);
-        }
-        if (!coupledBarrier(bound, coupledContrib(), &global)) {
-            ok = false;
-            break;
-        }
-        t = bound;
-        ++quanta_;
-        if (skip_idle_) {
-            t = windowForEarliest(global, t, q, until);
-        }
-    }
-    endRunStats();
-    if (!ok) {
-        abandonCoupled();
-    } else {
-        coupled_earliest_ = global;
-    }
-    return ok;
-}
-
-std::vector<uint32_t>
-PartitionSet::lptAssign(const std::vector<double> &weights,
-                        uint32_t nprocs)
-{
-    if (nprocs == 0 || weights.empty()) {
-        fatal("PartitionSet: lptAssign: empty input");
-    }
-    std::vector<size_t> order(weights.size());
-    for (size_t i = 0; i < order.size(); ++i) {
-        order[i] = i;
-    }
-    std::stable_sort(order.begin(), order.end(),
-                     [&weights](size_t a, size_t b) {
-                         return weights[a] > weights[b];
-                     });
-    std::vector<double> load(nprocs, 0.0);
-    std::vector<uint32_t> owner(weights.size(), 0);
-    for (size_t p : order) {
-        uint32_t best = 0;
-        for (uint32_t r = 1; r < nprocs; ++r) {
-            if (load[r] < load[best]) {
-                best = r;
-            }
-        }
-        owner[p] = best;
-        load[best] += weights[p];
-    }
-    // Relabel ranks in first-appearance order over partition indices:
-    // rank 0 always owns partition 0 (the launcher keeps the client
-    // rack — and with it the latency samples — in the parent process).
-    std::vector<uint32_t> relabel(nprocs, UINT32_MAX);
-    uint32_t next = 0;
-    for (uint32_t r : owner) {
-        if (relabel[r] == UINT32_MAX) {
-            relabel[r] = next++;
-        }
-    }
-    for (uint32_t r = 0; r < nprocs; ++r) {
-        if (relabel[r] == UINT32_MAX) {
-            relabel[r] = next++;
-        }
-    }
-    for (uint32_t &r : owner) {
-        r = relabel[r];
-    }
-    return owner;
 }
 
 uint64_t

@@ -90,29 +90,11 @@
  *
  * runSequential stays the deliberately simple full-scan reference the
  * incremental engine is checked against (bit-identity tests).
- *
- * **Cross-process coupling (runCoupled).**  A third engine spreads the
- * window loop over multiple *processes*, DIABLO's multi-FPGA scaling
- * axis mapped onto host processes connected by fame::Transport record
- * pipes (shared-memory rings between real processes; heap rings for
- * in-process tests).  Every process builds the full deterministic
- * model but advances only the partitions it owns; cross-process
- * channels carry opaque byte records (the wiring layer installs a
- * RecordDecoder per channel), and each window ends in one SYNC
- * exchange carrying every process's earliest-pending contribution —
- * the same fold the other engines compute locally, so the window
- * sequence, the drain order (global channel index), and therefore
- * every simulated result are bit-identical to runSequential and
- * runParallel.  A process whose peers have already published their
- * SYNC free-runs straight through the barrier (wait elision); it
- * parks on the ring futex only when a peer is genuinely behind.
  */
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -123,7 +105,6 @@
 #include "core/arena.hh"
 #include "core/cpu_topology.hh"
 #include "core/simulator.hh"
-#include "fame/transport.hh"
 #include "fame/tree_barrier.hh"
 
 namespace diablo {
@@ -141,17 +122,6 @@ class PartitionSet {
      * (e.g. benchmarking barrier cost itself).
      */
     static constexpr SimTime kNoChannelQuantum = SimTime::ms(1);
-
-    /**
-     * Materialize a received byte record into the delivery closure for
-     * @p dst (the channel's destination partition).  The wiring layer
-     * (net/sim) installs one per channel via setChannelDecoder; fame
-     * itself never learns the payload format.  The returned EventFn is
-     * scheduled exactly like a directly-posted closure, so local and
-     * cross-process deliveries land at identical queue positions.
-     */
-    using RecordDecoder = std::function<EventFn(
-        Simulator &dst, SimTime when, const void *bytes, uint32_t len)>;
 
     /** Unidirectional cross-partition message channel. */
     class Channel {
@@ -180,18 +150,6 @@ class PartitionSet {
         SimTime minLatency() const { return min_latency_; }
         const std::string &name() const { return name_; }
 
-        /**
-         * Stable flag the wiring layer branches on per delivery: true
-         * while this channel's destination partition is owned by a
-         * different process (set by enableCoupled, never changed
-         * during a run).  Deliveries on such a channel must go through
-         * PartitionSet::postRecord — closures cannot cross a process
-         * boundary — and post() on one is fatal.  Always false for
-         * uncoupled sets, so the in-process hot path stays one
-         * predictable branch.
-         */
-        const bool *remoteOutgoingFlag() const { return &remote_out_; }
-
       private:
         friend class PartitionSet;
 
@@ -200,15 +158,7 @@ class PartitionSet {
             EventFn fn;
         };
 
-        /** Channel role relative to this process's owned partitions. */
-        enum class Cls : uint8_t {
-            Local,   ///< src and dst owned: today's in-process path
-            Out,     ///< src owned, dst foreign: serialize outbound
-            In,      ///< dst owned, src foreign: decode inbound
-            Foreign, ///< neither owned: never carries traffic here
-        };
-
-        /** Conservative-contract check shared by post and postRecord. */
+        /** Conservative-contract check of post(). */
         void validatePost(SimTime when) const;
 
         PartitionSet *owner_ = nullptr;
@@ -218,14 +168,6 @@ class PartitionSet {
         SimTime min_latency_;
         std::string name_;
         std::vector<Msg> pending_;
-
-        // Coupled-mode state (inert defaults for uncoupled sets).
-        Cls cls_ = Cls::Local;
-        bool remote_out_ = false;
-        RecordDecoder decoder_;
-        /** Outbound records awaiting flush: [i64 when][u32 len][bytes]. */
-        std::vector<uint8_t> out_pending_;
-        SimTime out_min_ = SimTime::max();
     };
 
     explicit PartitionSet(size_t n);
@@ -389,115 +331,9 @@ class PartitionSet {
     /**
      * True when no work is pending anywhere in the model: no partition
      * has a queued event and no channel message is in flight, so no
-     * further run can execute anything.  A coupled process answers
-     * with the group-wide fold of its last runCoupled() barrier
-     * (false before the first one).
+     * further run can execute anything.
      */
-    bool idle();
-
-    // --- cross-process coupling -------------------------------------
-
-    /**
-     * Install the byte-record codec of a channel.  Required on every
-     * channel whose destination partition this process owns but whose
-     * source it does not (class In); also lets postRecord deliver
-     * locally, which is how the bit-identity tests drive the record
-     * path without any transport.
-     */
-    void setChannelDecoder(Channel &ch, RecordDecoder decoder);
-
-    /**
-     * Post one byte record on @p ch at absolute time @p when.  The
-     * conservative contract is validated against the source clock with
-     * the same diagnostic as Channel::post.  Destination owned by this
-     * process: the decoder materializes the delivery immediately and
-     * it joins pending_ like any closure post.  Destination foreign:
-     * the bytes are buffered and flushed to the owning process at the
-     * next window barrier.
-     */
-    void postRecord(Channel &ch, SimTime when, const void *bytes,
-                    uint32_t len);
-
-    /** Configuration of one process's view of a coupled group. */
-    struct CoupledOptions {
-        uint32_t self_rank = 0;
-        /** Owning rank per partition; identical in every process. */
-        std::vector<uint32_t> owner_of;
-        /** Transport to every other rank appearing in owner_of. */
-        std::vector<std::pair<uint32_t, Transport *>> peers;
-        /** Ring-wait spin budget before parking (see TreeBarrier). */
-        uint32_t spin_budget = 512;
-        /** One futex-park slice; waits loop with liveness checks. */
-        int64_t wait_timeout_ns = 20 * 1000 * 1000;
-    };
-
-    /**
-     * Enter coupled mode: classify every channel against the owner
-     * map, flip the remote-outgoing flags the wiring layer branches
-     * on, and record the peer transports.  Every In-class channel must
-     * already have a decoder (fatal otherwise — a missing codec would
-     * surface as silently-dropped traffic).  Call once, after all
-     * channels and decoders are wired and before the first runCoupled.
-     */
-    void enableCoupled(const CoupledOptions &opts);
-
-    bool coupled() const { return coupled_; }
-    uint32_t coupledSelfRank() const { return self_rank_; }
-
-    /** True when this process owns partition @p i (always true uncoupled). */
-    bool partitionOwned(size_t i) const
-    {
-        return !coupled_ || owner_of_[i] == self_rank_;
-    }
-
-    /**
-     * Advance the owned partitions to @p until in lockstep with every
-     * peer process.  The window sequence — and every simulated result —
-     * is bit-identical to runSequential over the whole model: each
-     * barrier exchanges SYNC records whose contributions reconstruct
-     * the exact global earliest-pending fold the sequential engine
-     * scans for, and drains local + inbound messages in global channel
-     * order.  Like runSequential, each call rediscovers the window
-     * sequence from t=0 (an entry SYNC exchange replaces the entry
-     * full scan), so interleaved drive loops stay aligned.
-     *
-     * Returns false when the run was abandoned — a peer died or
-     * aborted, or an interrupt arrived while a peer stayed silent —
-     * after flagging every transport so the peers unwind too.  The
-     * caller finalizes its artifact as interrupted; results of a
-     * false return are incomplete and must not be reported as a run.
-     */
-    bool runCoupled(SimTime until);
-
-    /** Transport-side counters of all runCoupled calls so far. */
-    struct CoupledStats {
-        uint64_t sync_sent = 0;
-        uint64_t sync_recv = 0;
-        uint64_t msgs_sent = 0;
-        uint64_t msgs_recv = 0;
-        uint64_t bytes_sent = 0;
-        uint64_t bytes_recv = 0;
-        /** Barriers where the peer's batch had already arrived. */
-        uint64_t waits_elided = 0;
-        /** Barriers that had to spin/park for a peer. */
-        uint64_t waits_blocked = 0;
-    };
-
-    const CoupledStats &coupledStats() const { return coupled_stats_; }
-
-    /** Fusion weights (setPartitionWeight), for the process placement. */
-    const std::vector<double> &partitionWeights() const { return weights_; }
-
-    /**
-     * Deterministic partition -> rank map: greedy LPT over @p weights
-     * onto @p nprocs ranks (heaviest partition first, least-loaded
-     * rank, ties to the lowest rank), relabeled in first-appearance
-     * order so rank 0 owns partition 0.  Every process — launcher and
-     * children — computes this independently and must agree, which the
-     * HELLO handshake's owner hash verifies.
-     */
-    static std::vector<uint32_t> lptAssign(
-        const std::vector<double> &weights, uint32_t nprocs);
+    bool idle() { return earliestPendingTime() == SimTime::max(); }
 
     /**
      * Cumulative barriers executed (quanta) across every run of this
@@ -625,64 +461,6 @@ class PartitionSet {
     void ensureWorkerPool(size_t pool_threads);
     void workerLoop(size_t worker_id);
 
-    // --- coupled engine internals ---
-
-    /** Inbound state of one peer process. */
-    struct PeerState {
-        uint32_t rank = 0;
-        Transport *tr = nullptr;
-        bool hello_seen = false;
-        WireHello hello;
-
-        /**
-         * One barrier's worth of inbound records.  Peers free-run
-         * ahead, so polling while waiting for barrier j may consume
-         * records that belong to j+1; batches stage them in arrival
-         * order — messages accumulate into the open (back) batch, the
-         * peer's SYNC closes it — and awaitBatch consumes exactly the
-         * front completed batch.
-         */
-        struct Batch {
-            uint64_t seq = 0;
-            int64_t bound_ps = 0;
-            int64_t contrib_ps = 0;
-            bool complete = false;
-            /** Packed records: [u32 channel][u32 len][i64 when][bytes]. */
-            std::vector<uint8_t> data;
-            std::vector<size_t> offsets; ///< record starts within data
-        };
-        std::deque<Batch> batches;
-    };
-
-    /** Earliest future work this process knows about (contrib fold). */
-    SimTime coupledContrib();
-
-    /** Drain one peer's ring until empty, staging records into batches. */
-    void pollPeer(size_t pi);
-    void pollAllPeers();
-
-    /** Push one wire record to peer @p pi, draining inbound on stall. */
-    bool coupledSend(size_t pi, const void *bytes, uint32_t n);
-
-    /** Serialize and send every out-dirty channel's buffered records. */
-    bool flushOutgoing();
-
-    /** Block until peer @p pi's batch for barrier @p seq is complete. */
-    bool awaitBatch(size_t pi, uint64_t seq);
-
-    /**
-     * One window barrier: flush outbound, SYNC all peers, await their
-     * batches, drain local + inbound messages in global channel order.
-     * @p global receives the group-wide earliest-pending fold.
-     */
-    bool coupledBarrier(SimTime bound, SimTime contrib, SimTime *global);
-
-    /** Merged drain of local dirty channels and front peer batches. */
-    void coupledDrain();
-
-    bool exchangeHello();
-    void abandonCoupled();
-
     std::vector<std::unique_ptr<Simulator>> parts_;
     std::vector<std::unique_ptr<Channel>> channels_;
     std::vector<double> weights_;
@@ -743,32 +521,6 @@ class PartitionSet {
     SimTime par_until_;
     SimTime par_q_;
     bool par_done_ = false;
-
-    // Coupled-mode state (inert for uncoupled sets).
-    bool coupled_ = false;
-    bool hello_done_ = false;
-    bool coupled_abandoned_ = false;
-    /** Group-wide earliest pending time at the last coupled barrier. */
-    SimTime coupled_earliest_;
-    uint32_t self_rank_ = 0;
-    std::vector<uint32_t> owner_of_;   ///< partition -> owning rank
-    std::vector<size_t> owned_parts_;  ///< partitions this process runs
-    std::vector<PeerState> peers_;     ///< rank order, deterministic
-    std::vector<uint32_t> peer_of_rank_; ///< rank -> index in peers_
-    uint32_t coupled_spin_ = 512;
-    int64_t coupled_timeout_ns_ = 20 * 1000 * 1000;
-    uint64_t sync_seq_ = 0;
-    std::vector<uint32_t> out_dirty_;  ///< Out channels with buffered records
-    std::vector<uint8_t> recv_scratch_;
-    std::vector<uint8_t> wire_scratch_;
-    /** (channel, peer-or-local, record) entries of one merged drain. */
-    struct CoupledDrainEntry {
-        uint32_t channel;
-        uint32_t peer; ///< UINT32_MAX = local pending_ drain
-        uint32_t rec;
-    };
-    std::vector<CoupledDrainEntry> coupled_drain_scratch_;
-    CoupledStats coupled_stats_;
 };
 
 } // namespace fame

@@ -2,7 +2,6 @@
 
 #include "core/log.hh"
 #include "core/units.hh"
-#include "net/packet_record.hh"
 
 namespace diablo {
 namespace net {
@@ -38,30 +37,8 @@ ChannelLink::minDeliveryLatency(Bandwidth bw, SimTime prop)
 }
 
 void
-ChannelLink::enableRecordPath(const bool *remote, RecordPost post)
-{
-    if (remote == nullptr || !post) {
-        fatal("ChannelLink %s: enableRecordPath with no flag or hook",
-              name().c_str());
-    }
-    record_remote_ = remote;
-    record_post_ = std::move(post);
-}
-
-void
 ChannelLink::scheduleDelivery(SimTime when, PacketPtr p)
 {
-    if (record_remote_ != nullptr && *record_remote_) {
-        // Destination partition owned by a peer process: flatten the
-        // packet, retire the local copy uncounted (its replica will be
-        // counted at its real death over there), and let the wiring
-        // layer buffer the record for the next window flush.
-        PacketRecord rec;
-        serializePacket(*p, &rec);
-        releaseGhost(std::move(p));
-        record_post_(when, rec);
-        return;
-    }
     // The posted event runs in the destination partition; it only
     // touches the sink (destination-side state) and the packet it
     // carries, never the transmit-side bookkeeping.  The event owns the

@@ -36,17 +36,11 @@
 namespace diablo {
 namespace net {
 
-struct PacketRecord;
-
 /** Cross-partition link: local transmitter, remote delivery. */
 class ChannelLink : public Link {
   public:
     /** Posts @p fn into the destination partition at time @p when. */
     using RemotePost = std::function<void(SimTime when, EventFn fn)>;
-
-    /** Posts a flattened packet toward a foreign process's partition. */
-    using RecordPost =
-        std::function<void(SimTime when, const PacketRecord &rec)>;
 
     /**
      * @param src_sim  partition owning the transmitter
@@ -66,31 +60,11 @@ class ChannelLink : public Link {
      */
     static SimTime minDeliveryLatency(Bandwidth bw, SimTime prop);
 
-    /**
-     * Arm the cross-process path.  While @p remote (owned by the fame
-     * channel, stable for the link's lifetime) reads true, deliveries
-     * are flattened to PacketRecords and handed to @p post instead of
-     * being posted as closures; while it reads false the in-process
-     * closure path runs unchanged.  Uncoupled runs never call this, so
-     * their hot path keeps a single null check.
-     */
-    void enableRecordPath(const bool *remote, RecordPost post);
-
-    /**
-     * Receiving-process entry point: deliver a packet materialized
-     * from a wire record to this link's sink, exactly as the closure
-     * path would have.  Called by the cluster wiring's channel decoder
-     * in the process owning the destination partition.
-     */
-    void receiveRecord(PacketPtr p) { deliverToSink(std::move(p)); }
-
   protected:
     void scheduleDelivery(SimTime when, PacketPtr p) override;
 
   private:
     RemotePost post_;
-    const bool *record_remote_ = nullptr;
-    RecordPost record_post_;
 };
 
 } // namespace net

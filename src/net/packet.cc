@@ -159,8 +159,9 @@ PacketPool::make()
 }
 
 void
-PacketPool::pushFree(Packet *p)
+PacketPool::recycle(Packet *p)
 {
+    returns_.fetch_add(1, std::memory_order_relaxed);
     // Reset eagerly (not at reuse) so held resources — the app
     // shared_ptr above all — release at the packet's natural death, and
     // a parked freelist never pins application message descriptors.
@@ -173,51 +174,6 @@ PacketPool::pushFree(Packet *p)
     } while (!free_head_.compare_exchange_weak(head, p,
                                                std::memory_order_release,
                                                std::memory_order_relaxed));
-}
-
-void
-PacketPool::recycle(Packet *p)
-{
-    returns_.fetch_add(1, std::memory_order_relaxed);
-    pushFree(p);
-}
-
-PacketPtr
-PacketPool::makeGhost()
-{
-    // Uncounted make (see the header's ghost-accounting note): same
-    // freelist pop as make(), but no makes_/high-water/heap bookkeeping
-    // and no fresh id — the caller rewrites every field from the wire
-    // record, id included.
-    Packet *head = free_head_.load(std::memory_order_acquire);
-    while (head != nullptr &&
-           !free_head_.compare_exchange_weak(head, head->pool_next,
-                                             std::memory_order_acquire,
-                                             std::memory_order_acquire)) {
-    }
-    if (head == nullptr) {
-        head = new Packet();
-        head->pool = this;
-    }
-    head->pool_next = nullptr;
-    return PacketPtr(head);
-}
-
-void
-PacketPool::recycleGhost(Packet *p)
-{
-    pushFree(p);
-}
-
-void
-releaseGhost(PacketPtr p)
-{
-    Packet *raw = p.release();
-    if (raw->pool != nullptr) {
-        raw->pool->recycleGhost(raw);
-    } else {
-        delete raw;
-    }
 }
 
 PacketPtr

@@ -171,56 +171,18 @@ class PacketPool {
     /** Maximum packets simultaneously live, sampled at make(). */
     uint64_t highWater() const { return high_water_; }
 
-    // --- cross-process ghost accounting ---------------------------------
-    //
-    // A packet crossing a process boundary exists twice for an instant:
-    // the sender's copy dies at serialization and the receiver
-    // materializes a replica from its local pool for the same partition.
-    // Neither side's pool counters may see those synthetic transitions —
-    // the sender's copy was counted at make() and the replica's death
-    // will be counted at its real recycle — so the per-partition
-    // makes/returns summed across all processes equal the single-process
-    // totals exactly (the fingerprint folds them).  makeGhost/
-    // recycleGhost are those uncounted twins of make()/recycle().
-
-    /**
-     * Dense partition index this pool belongs to, stamped by the
-     * cluster wiring in coupled mode so serialization can name a
-     * packet's origin partition; -1 (the default) means untagged.
-     */
-    void setTag(int64_t tag) { tag_ = tag; }
-    int64_t tag() const { return tag_; }
-
-    /** Reuse (or allocate) a packet without counting a make. */
-    PacketPtr makeGhost();
-
-    /** Return a packet without counting; pairs with makeGhost. */
-    void recycleGhost(Packet *p);
-
   private:
     friend struct PacketDeleter;
 
     /** Thread-safe push of a dead packet onto the freelist. */
     void recycle(Packet *p);
 
-    /** Reset @p p and push it onto the freelist (no counting). */
-    void pushFree(Packet *p);
-
     std::atomic<Packet *> free_head_{nullptr};
     uint64_t makes_ = 0;
     uint64_t heap_allocs_ = 0;
     uint64_t high_water_ = 0;
     std::atomic<uint64_t> returns_{0};
-    int64_t tag_ = -1;
 };
-
-/**
- * Destroy the sender-side copy of a packet that just crossed a process
- * boundary: an uncounted return to its pool (or heap free).  The normal
- * PacketPtr deleter would count a return the receiving process's
- * replica will count again at its real death.
- */
-void releaseGhost(PacketPtr p);
 
 /** Create a plain heap packet with a fresh globally unique id. */
 PacketPtr makePacket();

@@ -1,10 +1,7 @@
 #include "sim/cluster.hh"
 
-#include <cstring>
-
 #include "core/log.hh"
 #include "net/channel_link.hh"
-#include "net/packet_record.hh"
 
 namespace diablo {
 namespace sim {
@@ -145,8 +142,8 @@ Cluster::Cluster(fame::PartitionSet &ps, const ClusterParams &params)
     };
     hooks.switch_sim = &ps.partition(racks > 1 ? racks : 0);
     hooks.make_cross_link =
-        [this, &ps, racks](uint32_t rack, bool up, const std::string &name,
-                           Bandwidth bw, SimTime prop)
+        [&ps, racks](uint32_t rack, bool up, const std::string &name,
+                     Bandwidth bw, SimTime prop)
         -> std::unique_ptr<net::Link> {
         const size_t switch_part = racks;
         const size_t src = up ? rack : switch_part;
@@ -159,7 +156,6 @@ Cluster::Cluster(fame::PartitionSet &ps, const ClusterParams &params)
             [&ch](SimTime when, EventFn fn) {
                 ch.post(when, std::move(fn));
             });
-        trunks_.push_back(Trunk{&ch, link.get()});
         return link;
     };
     network_ = std::make_unique<topo::ClosNetwork>(hooks, params_.topo);
@@ -185,63 +181,6 @@ Cluster::Cluster(fame::PartitionSet &ps, const ClusterParams &params)
         ps.setPartitionWeight(
             racks, 1.0 + 0.5 * racks * params_.topo.uplink_planes);
     }
-}
-
-void
-Cluster::enableProcessCoupling(const fame::PartitionSet::CoupledOptions &opts)
-{
-    // Tag every partition's pool with its dense index (creating pools
-    // that don't exist yet) so a trunk-crossing packet can name its
-    // origin partition on the wire and the receiving process can ghost
-    // a replica from the matching local pool.
-    for (size_t i = 0; i < ps_.size(); ++i) {
-        net::packetPoolOf(ps_.partition(i)).setTag(
-            static_cast<int64_t>(i));
-    }
-    for (Trunk &t : trunks_) {
-        fame::PartitionSet::Channel &ch = *t.ch;
-        net::ChannelLink *link = t.link;
-        // Outbound: when the channel's destination partition is owned
-        // by a peer process, flatten deliveries into PacketRecords and
-        // buffer them on the channel for the next window flush.
-        link->enableRecordPath(
-            ch.remoteOutgoingFlag(),
-            [this, &ch](SimTime when, const net::PacketRecord &rec) {
-                ps_.postRecord(ch, when, &rec, sizeof(rec));
-            });
-        // Inbound: rebuild the packet (ghost-making from the origin
-        // partition's local replica pool) and deliver it through the
-        // same ChannelLink sink path the closure route uses, so queue
-        // position and downstream behaviour are identical.
-        ps_.setChannelDecoder(
-            ch,
-            [this, link](Simulator &, SimTime, const void *bytes,
-                         uint32_t len) -> EventFn {
-                if (len != sizeof(net::PacketRecord)) {
-                    fatal("coupled trunk %s: %u-byte wire record "
-                          "(expected %zu)",
-                          link->name().c_str(), len,
-                          sizeof(net::PacketRecord));
-                }
-                net::PacketRecord rec;
-                std::memcpy(&rec, bytes, sizeof(rec));
-                net::PacketPool *origin =
-                    rec.origin_part == net::PacketRecord::kHeapOrigin
-                        ? nullptr
-                        : &net::packetPoolOf(
-                              ps_.partition(rec.origin_part));
-                net::PacketPtr p = net::materializePacket(rec, origin);
-                auto deliver = [link, p = std::move(p)]() mutable {
-                    link->receiveRecord(std::move(p));
-                };
-                static_assert(
-                    EventFn::inlineable<decltype(deliver)>(),
-                    "coupled trunk delivery closure outgrew the EventFn "
-                    "inline buffer (per-message heap allocation)");
-                return EventFn(std::move(deliver));
-            });
-    }
-    ps_.enableCoupled(opts);
 }
 
 void

@@ -122,19 +122,6 @@ class Cluster {
     /** The engine this cluster was built on. */
     fame::PartitionSet &partitionSet() { return ps_; }
 
-    /**
-     * Arm the multiprocess (coupled) engine: tag
-     * every partition's packet pool with its dense index, switch each
-     * ToR<->array trunk to the PacketRecord wire path for destinations
-     * owned by peer processes, install the matching record decoder,
-     * and hand @p opts to PartitionSet::enableCoupled.  Every process
-     * of the group builds the identical cluster, calls this with its
-     * own rank/transport set (complementary owner maps), then drives
-     * its PartitionSet with runCoupled().  Call once, before the first
-     * run.
-     */
-    void enableProcessCoupling(const fame::PartitionSet::CoupledOptions &opts);
-
     uint32_t size() const { return network_->totalServers(); }
     uint32_t numRacks() const
     {
@@ -230,18 +217,6 @@ class Cluster {
      * materializations never touch the same slot from two threads.
      */
     std::vector<ServerState *> nodes_;
-
-    /**
-     * Every cross-partition trunk: the fame channel
-     * and the ChannelLink riding it, recorded at wiring time so
-     * enableProcessCoupling can retrofit the record path without
-     * re-deriving the topology.
-     */
-    struct Trunk {
-        fame::PartitionSet::Channel *ch;
-        net::ChannelLink *link;
-    };
-    std::vector<Trunk> trunks_;
 
     /** One arena per rack partition. */
     std::vector<SlabArena> arenas_;

@@ -130,7 +130,7 @@ TEST(DiabloRunCli, IncastThatCannotFinishExitsOne)
     // forever with nothing scheduled, so the engine goes idle and the
     // run reports the incomplete transfer instead of spinning.
     for (const char *engine :
-         {" incast", " incast incast.racks=2 --processes 2"}) {
+         {" incast", " incast incast.racks=2 --engine par --threads 2"}) {
         const std::string out = tmpPath("stuck.txt");
         const std::string cmd =
             std::string(DIABLO_RUN_BIN) + engine +
@@ -158,6 +158,15 @@ TEST(DiabloRunCli, EngineIsSeqOrPar)
             << "'" << bad << "'";
         std::remove(out.c_str());
     }
+    // --processes is not a flag: a stale script that passes it gets a
+    // usage error, not a silent seq run.
+    const std::string out = tmpPath("processes.txt");
+    const std::string cmd = std::string(DIABLO_RUN_BIN) +
+                            " incast --processes 2 > " + out + " 2>&1";
+    EXPECT_EQ(runCmd(cmd), 2);
+    EXPECT_NE(slurp(out).find("not a key=value assignment"),
+              std::string::npos);
+    std::remove(out.c_str());
 }
 
 TEST(DiabloSweepCli, TwoPointEngineGridCrossChecks)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Guard engine and datapath performance invariants in CI.
 
-Six modes:
+Five modes:
 
 sync (default) — reads a google-benchmark JSON file (--benchmark_out)
 containing BM_ClusterIncastSharded rows and checks that the fused
@@ -44,18 +44,6 @@ enforce the raw barrier floor: every non-oversubscribed
 BM_FameBarrierRoundTrip row with >=2 workers in the newest trajectory
 entry must sustain --min-barrier-qps quanta per second (default 1e6).
 
-transport (--mode transport) — reads a BENCH_transport.json
-trajectory written by bench/microbench_transport and enforces the
-cross-process engine floors on the newest entry: shm ring round-trip
-time at most --max-rtt-ns (default 50us), coupled SYNC exchange rate at
-least --min-sync-per-sec (default 5e4), and the two-copy coupled incast
-retaining at least --min-pair-ratio (default 0.5) of the sequential
-reference's event throughput.  The structural check — all four rows
-present — always runs, but the timing floors are only scored when the
-rows report cores >= 2 and no oversubscription: on a single-core runner
-both sides of every ping-pong timeshare one CPU, so the mode prints an
-explicit SKIPPED line and exits 0 rather than passing vacuously.
-
 sweep (--mode sweep) — reads the report.json a diablo_sweep run
 directory contains (no stdout scraping: the merged report is the
 machine-readable contract) and enforces that every grid point ran to
@@ -68,7 +56,6 @@ Usage:
     bench_guard.py <benchmark.json> --mode multicore [--scale-factor F]
     bench_guard.py BENCH_packet.json --mode packet [--max-regression F]
     bench_guard.py BENCH_scale.json --mode scale [--min-nodes-per-gb N]
-    bench_guard.py BENCH_transport.json --mode transport [--max-rtt-ns N]
     bench_guard.py sweep-out/report.json --mode sweep
 
 Exit status 0 when the invariants hold, 1 on a regression or missing
@@ -324,83 +311,6 @@ def check_barrier_floor(path, cores, min_barrier_qps):
     return failed
 
 
-def check_transport(path, max_rtt_ns, min_sync_per_sec, min_pair_ratio):
-    """Enforce the cross-process transport floors on a trajectory."""
-    with open(path) as f:
-        data = json.load(f)
-    if not isinstance(data, list) or not data:
-        print(f"bench_guard: {path} is not a non-empty trajectory",
-              file=sys.stderr)
-        return 1
-
-    newest = data[-1].get("benchmarks", [])
-
-    def find(prefix):
-        for bench in newest:
-            if bench.get("name", "").startswith(prefix):
-                return bench
-        return None
-
-    rtt = find("BM_ShmRingRoundTrip")
-    sync = find("BM_CoupledSyncRate")
-    seq = find("BM_CoupledIncastSeq")
-    pair = find("BM_CoupledIncastPair")
-    missing = [label for label, bench in
-               [("BM_ShmRingRoundTrip", rtt),
-                ("BM_CoupledSyncRate", sync),
-                ("BM_CoupledIncastSeq", seq),
-                ("BM_CoupledIncastPair", pair)] if bench is None]
-    if missing:
-        print(f"bench_guard: newest entry in {path} is missing "
-              f"{', '.join(missing)}", file=sys.stderr)
-        return 1
-
-    # The structural check above always runs.  The timing floors only
-    # mean something when the two sides of each ping-pong had their own
-    # core; oversubscribed rows measure the scheduler, not the ring.
-    cores = min(float(b.get("cores", 0)) for b in (rtt, sync, pair))
-    oversub = any(float(b.get("oversubscribed", 0)) != 0.0
-                  for b in (rtt, sync, pair))
-    if cores < 2 or oversub:
-        print(f"bench_guard: transport floors SKIPPED — rows report "
-              f"cores={cores:g}"
-              f"{' and oversubscription' if oversub else ''}; "
-              f"two-sided transport timing is not measurable here "
-              f"(this is an explicit skip, not a pass)")
-        return 0
-
-    failed = False
-
-    rtt_ns = float(rtt.get("real_ns_per_iter", 0))
-    verdict = ("OK" if rtt_ns <= max_rtt_ns else
-               f"RTT-REGRESSION (> ceiling {max_rtt_ns:.0f}ns)")
-    if rtt_ns > max_rtt_ns:
-        failed = True
-    print(f"bench_guard: shm ring rtt={rtt_ns:.0f}ns "
-          f"(ceiling {max_rtt_ns:.0f}ns) {verdict}")
-
-    sync_ps = items_per_second(sync)
-    verdict = ("OK" if sync_ps >= min_sync_per_sec else
-               f"SYNC-REGRESSION (< floor {min_sync_per_sec:.1e})")
-    if sync_ps < min_sync_per_sec:
-        failed = True
-    print(f"bench_guard: coupled sync msgs/s={sync_ps:.3e} "
-          f"(floor {min_sync_per_sec:.1e}) {verdict}")
-
-    seq_eps = items_per_second(seq)
-    pair_eps = items_per_second(pair)
-    ratio = pair_eps / seq_eps if seq_eps > 0 else 0.0
-    verdict = ("OK" if ratio >= min_pair_ratio else
-               f"COUPLING-REGRESSION (< floor {min_pair_ratio})")
-    if ratio < min_pair_ratio:
-        failed = True
-    print(f"bench_guard: coupled pair={pair_eps:.3e} "
-          f"seq={seq_eps:.3e} events/s ratio={ratio:.2f} "
-          f"(floor {min_pair_ratio}) {verdict}")
-
-    return 1 if failed else 0
-
-
 def check_sweep(path):
     """Every sweep run completed; every engine cross-check matched."""
     with open(path) as f:
@@ -456,7 +366,7 @@ def main():
     ap.add_argument("json_file")
     ap.add_argument("--mode",
                     choices=["sync", "multicore", "packet", "scale",
-                             "sweep", "transport"],
+                             "sweep"],
                     default="sync",
                     help="which invariant to check (default sync)")
     ap.add_argument("--racks", type=int, default=4,
@@ -488,17 +398,6 @@ def main():
                     help="multicore mode: minimum quanta/s for "
                          "non-oversubscribed multi-worker barrier "
                          "round trips (default 1e6)")
-    ap.add_argument("--max-rtt-ns", type=float, default=5e4,
-                    help="transport mode: maximum shm ring round-trip "
-                         "time in ns (default 50us — catches cliffs, "
-                         "not jitter)")
-    ap.add_argument("--min-sync-per-sec", type=float, default=5e4,
-                    help="transport mode: minimum coupled SYNC "
-                         "messages per second (default 5e4)")
-    ap.add_argument("--min-pair-ratio", type=float, default=0.5,
-                    help="transport mode: minimum two-copy coupled vs "
-                         "sequential event-throughput ratio (default "
-                         "0.5)")
     opts = ap.parse_args()
 
     if opts.mode == "multicore":
@@ -507,10 +406,6 @@ def main():
                                opts.min_barrier_qps)
     if opts.mode == "sweep":
         return check_sweep(opts.json_file)
-    if opts.mode == "transport":
-        return check_transport(opts.json_file, opts.max_rtt_ns,
-                               opts.min_sync_per_sec,
-                               opts.min_pair_ratio)
     if opts.mode == "packet":
         return check_packet(opts.json_file, opts.max_regression)
     if opts.mode == "scale":

@@ -57,11 +57,7 @@
  * records latencies into fixed-memory quantile sketches.
  */
 
-#include <fcntl.h>
-#include <signal.h>
 #include <sys/resource.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
@@ -77,8 +73,6 @@
 #include "analysis/report.hh"
 #include "core/cpu_topology.hh"
 #include "core/interrupt.hh"
-#include "core/shm.hh"
-#include "fame/transport.hh"
 #include "sim/fault.hh"
 #include "sim/telemetry.hh"
 #include "sim/watchdog.hh"
@@ -95,15 +89,6 @@ struct EngineOpts {
     size_t threads = 0; ///< parallel worker cap; 0 = hardware default
     bool pin = true;    ///< cache-topology-aware worker pinning
     bool mem_report = false;
-    /**
-     * Engine processes (--processes).  >1 selects the coupled
-     * multiprocess engine: the launcher re-execs N-1 child copies of
-     * this binary, partitions are assigned to ranks by the same LPT
-     * balance the parallel engine uses, and the group runs in lockstep
-     * windows over shared-memory ring transports.  Results are
-     * bit-identical to seq/par.
-     */
-    size_t processes = 1;
 
     bool
     parseEngine(const char *val)
@@ -118,14 +103,7 @@ struct EngineOpts {
         return true;
     }
 
-    const char *
-    name() const
-    {
-        if (processes > 1) {
-            return "mp";
-        }
-        return engine == Engine::Par ? "par" : "seq";
-    }
+    const char *name() const { return par() ? "par" : "seq"; }
 
     bool par() const { return engine == Engine::Par; }
 };
@@ -135,18 +113,6 @@ struct RunOpts {
     EngineOpts eng;
     const char *plan_file = nullptr;
     const char *json_path = nullptr;
-
-    /** Original command line, for re-execing child engine ranks. */
-    int argc = 0;
-    char **argv = nullptr;
-
-    // --- child-rank identity (internal --proc-* flags) ---------------
-    uint32_t proc_rank = 0;        ///< this process's coupled rank
-    uint32_t proc_nprocs = 0;      ///< group size
-    const char *proc_shm = nullptr; ///< group segment path
-    int proc_result_fd = -1;       ///< pipe back to the launcher
-
-    bool isChildRank() const { return proc_shm != nullptr; }
 };
 
 /**
@@ -169,15 +135,12 @@ makeFaultPlan(const Config &cfg, const char *plan_file)
 
 void
 installFaults(sim::Cluster &cluster, const sim::FaultPlan &plan,
-              std::unique_ptr<sim::FaultController> &fc,
-              bool quiet = false)
+              std::unique_ptr<sim::FaultController> &fc)
 {
     if (plan.empty()) {
         return;
     }
-    if (!quiet) {
-        std::printf("%s", plan.str().c_str());
-    }
+    std::printf("%s", plan.str().c_str());
     fc = std::make_unique<sim::FaultController>(cluster, plan);
     fc->install();
 }
@@ -646,56 +609,39 @@ runMemcached(const Config &cfg, const sim::FaultPlan &plan,
     return 0;
 }
 
-/** The incast scenario, shared by the in-process and mp drivers. */
-struct IncastSetup {
-    uint32_t n = 0;     ///< fan-in servers
-    uint32_t racks = 0;
-    sim::ClusterParams cp;
-    apps::IncastParams ip;
-    std::vector<net::NodeId> servers;
-};
-
-IncastSetup
-makeIncastSetup(const Config &cfg)
-{
-    IncastSetup s;
-    s.n = static_cast<uint32_t>(cfg.getUint("incast.servers", 8));
-    // incast.racks spreads the fan-in across racks so the trunk and
-    // the sharded engines have cross-partition traffic to chew on;
-    // the default keeps the classic single-ToR shape.
-    s.racks = static_cast<uint32_t>(cfg.getUint("incast.racks", 1));
-    s.cp = cfg.getDouble("topo.rack.port_gbps", 1.0) > 5
-               ? sim::ClusterParams::tengig100ns()
-               : sim::ClusterParams::gige1us();
-    s.cp.applyConfig(cfg);
-    s.cp.topo.servers_per_rack = (s.n + 1 + s.racks - 1) / s.racks;
-    s.cp.topo.racks_per_array = s.racks;
-    s.cp.topo.num_arrays = 1;
-    s.ip.block_bytes = cfg.getUint("incast.block_bytes", 256 * 1024);
-    s.ip.iterations = static_cast<uint32_t>(
-        cfg.getUint("incast.iterations", 20));
-    s.ip.use_epoll = cfg.getBool("incast.epoll", false);
-    for (uint32_t i = 1; i <= s.n; ++i) {
-        s.servers.push_back(i);
-    }
-    return s;
-}
-
 int
 runIncast(const Config &cfg, const sim::FaultPlan &plan,
           const RunOpts &opts)
 {
     const EngineOpts &eng = opts.eng;
-    const IncastSetup setup = makeIncastSetup(cfg);
-    const uint32_t n = setup.n;
-    const uint32_t racks = setup.racks;
-    const sim::ClusterParams &cp = setup.cp;
+    const uint32_t n =
+        static_cast<uint32_t>(cfg.getUint("incast.servers", 8));
+    // incast.racks spreads the fan-in across racks so the trunk and
+    // the sharded engines have cross-partition traffic to chew on;
+    // the default keeps the classic single-ToR shape.
+    const uint32_t racks =
+        static_cast<uint32_t>(cfg.getUint("incast.racks", 1));
+    sim::ClusterParams cp = cfg.getDouble("topo.rack.port_gbps", 1.0) > 5
+                                ? sim::ClusterParams::tengig100ns()
+                                : sim::ClusterParams::gige1us();
+    cp.applyConfig(cfg);
+    cp.topo.servers_per_rack = (n + 1 + racks - 1) / racks;
+    cp.topo.racks_per_array = racks;
+    cp.topo.num_arrays = 1;
+    apps::IncastParams ip;
+    ip.block_bytes = cfg.getUint("incast.block_bytes", 256 * 1024);
+    ip.iterations =
+        static_cast<uint32_t>(cfg.getUint("incast.iterations", 20));
+    ip.use_epoll = cfg.getBool("incast.epoll", false);
+    std::vector<net::NodeId> servers;
+    for (uint32_t i = 1; i <= n; ++i) {
+        servers.push_back(i);
+    }
 
     std::unique_ptr<fame::PartitionSet> ps =
         makeEngine(sim::Cluster::partitionsRequired(cp), eng);
     auto cluster = std::make_unique<sim::Cluster>(*ps, cp);
-    const apps::IncastParams &ip = setup.ip;
-    apps::IncastApp app(*cluster, ip, 0, setup.servers);
+    apps::IncastApp app(*cluster, ip, 0, servers);
     app.install();
     std::unique_ptr<sim::FaultController> fc;
     installFaults(*cluster, plan, fc);
@@ -797,666 +743,13 @@ runIncast(const Config &cfg, const sim::FaultPlan &plan,
     return 0;
 }
 
-// ====================================================================
-// Coupled multiprocess engine (--processes N)
-//
-// The leader (rank 0) builds the full model, spawns N-1 re-exec'd
-// copies of this binary, and drives the group through outer windows
-// via the shared control block; every rank runs only the partitions
-// the deterministic LPT assignment gives it, exchanging trunk packets
-// and sync records over shared-memory rings (fame::ShmRingTransport).
-// Results are bit-identical to the seq/par engines: children report
-// their per-partition event/pool ledgers and pathology counters over
-// a pipe, the leader sums them into the artifact, and the fingerprint
-// folds the same values a single-process run would have produced.
-// ====================================================================
-
-/** Per-rank counters wired back to the launcher over the result pipe. */
-struct ProcCounters {
-    uint64_t executed_events = 0;
-    uint64_t materialized_nodes = 0;
-    uint64_t arena_bytes_used = 0;
-    uint64_t arena_bytes_reserved = 0;
-    // "network" group
-    uint64_t switch_drops = 0;
-    uint64_t forwarded = 0;
-    uint64_t tcp_retransmits = 0;
-    uint64_t tcp_rtos = 0;
-    uint64_t udp_socket_drops = 0;
-    uint64_t nic_rx_drops = 0;
-    // "datapath" group
-    uint64_t delivery_trains = 0;
-    uint64_t deliveries_coalesced = 0;
-    uint64_t nic_tx_ring_drops = 0;
-    // "faults" group
-    uint64_t reroutes = 0;
-    uint64_t link_down_drops = 0;
-    uint64_t link_degrade_drops = 0;
-    uint64_t tcp_aborts = 0;
-    uint64_t tcp_recovered = 0;
-    uint64_t crash_rx_discards = 0;
-    // transport ("mp" group; wall-clock-dependent, never folded)
-    uint64_t sync_sent = 0;
-    uint64_t sync_recv = 0;
-    uint64_t msgs_sent = 0;
-    uint64_t msgs_recv = 0;
-    uint64_t bytes_sent = 0;
-    uint64_t bytes_recv = 0;
-    uint64_t waits_elided = 0;
-    uint64_t waits_blocked = 0;
-};
-
-/** One partition's engine/pool ledger, as PartitionRow. */
-struct ProcPoolRow {
-    uint64_t events = 0;
-    uint64_t makes = 0;
-    uint64_t recycles = 0;
-    uint64_t heap_allocs = 0;
-    uint64_t returns = 0;
-    uint64_t high_water = 0;
-};
-
-/** Pipe report: header, then `partitions` ProcPoolRow records. */
-struct ProcResultHeader {
-    static constexpr uint32_t kMagic = 0x4d505253; // "MPRS"
-    uint32_t magic = kMagic;
-    uint32_t rank = 0;
-    uint32_t interrupted = 0;
-    uint32_t partitions = 0;
-    ProcCounters c;
-};
-
-ProcCounters
-collectProcCounters(sim::Cluster &cluster, fame::PartitionSet &ps)
-{
-    ProcCounters c;
-    c.executed_events = ps.totalExecutedEvents();
-    c.materialized_nodes = cluster.materializedServers();
-    for (const auto &ar : cluster.arenaStats()) {
-        c.arena_bytes_used += ar.bytes_used;
-        c.arena_bytes_reserved += ar.bytes_reserved;
-    }
-    topo::ClosNetwork &net = cluster.network();
-    c.switch_drops = net.totalSwitchDrops();
-    c.forwarded = net.totalForwarded();
-    c.tcp_retransmits = cluster.totalTcpRetransmits();
-    c.tcp_rtos = cluster.totalTcpRtos();
-    c.udp_socket_drops = cluster.totalUdpSocketDrops();
-    c.nic_rx_drops = cluster.totalNicRxDrops();
-    c.delivery_trains = cluster.totalDeliveryTrains();
-    c.deliveries_coalesced = cluster.totalDeliveriesCoalesced();
-    c.nic_tx_ring_drops = cluster.totalNicTxRingDrops();
-    c.reroutes = net.rerouteCount();
-    c.link_down_drops = net.totalLinkDownDrops();
-    c.link_degrade_drops = net.totalLinkDegradeDrops();
-    c.tcp_aborts = cluster.totalTcpAborts();
-    c.tcp_recovered = cluster.totalTcpRecovered();
-    c.crash_rx_discards = cluster.totalCrashRxDiscards();
-    const fame::PartitionSet::CoupledStats &cs = ps.coupledStats();
-    c.sync_sent = cs.sync_sent;
-    c.sync_recv = cs.sync_recv;
-    c.msgs_sent = cs.msgs_sent;
-    c.msgs_recv = cs.msgs_recv;
-    c.bytes_sent = cs.bytes_sent;
-    c.bytes_recv = cs.bytes_recv;
-    c.waits_elided = cs.waits_elided;
-    c.waits_blocked = cs.waits_blocked;
-    return c;
-}
-
-std::vector<ProcPoolRow>
-collectPoolRows(sim::Cluster &cluster, fame::PartitionSet &ps)
-{
-    const auto pools = cluster.poolStats();
-    std::vector<ProcPoolRow> rows(pools.size());
-    for (size_t i = 0; i < pools.size(); ++i) {
-        rows[i].events = ps.partition(i).executedEvents();
-        rows[i].makes = pools[i].makes;
-        rows[i].recycles = pools[i].recycles;
-        rows[i].heap_allocs = pools[i].heap_allocs;
-        rows[i].returns = pools[i].returns;
-        rows[i].high_water = pools[i].high_water;
-    }
-    return rows;
-}
-
-bool
-writeAll(int fd, const void *p, size_t n)
-{
-    const char *b = static_cast<const char *>(p);
-    while (n > 0) {
-        const ssize_t w = write(fd, b, n);
-        if (w < 0) {
-            if (errno == EINTR) {
-                continue;
-            }
-            return false;
-        }
-        b += w;
-        n -= static_cast<size_t>(w);
-    }
-    return true;
-}
-
-bool
-readAll(int fd, void *p, size_t n)
-{
-    char *b = static_cast<char *>(p);
-    while (n > 0) {
-        const ssize_t r = read(fd, b, n);
-        if (r < 0) {
-            if (errno == EINTR) {
-                continue;
-            }
-            return false;
-        }
-        if (r == 0) {
-            return false; // EOF: the child died before reporting
-        }
-        b += r;
-        n -= static_cast<size_t>(r);
-    }
-    return true;
-}
-
-/** The identical deterministic rank map every process computes. */
-std::vector<uint32_t>
-coupledOwnerMap(fame::PartitionSet &ps, uint32_t nprocs)
-{
-    return fame::PartitionSet::lptAssign(ps.partitionWeights(), nprocs);
-}
-
-/**
- * A child engine rank: build the identical cluster, attach the group
- * segment, follow the leader's epoch/until commands with runCoupled,
- * then report counters over the result pipe.  Prints nothing on the
- * happy path — the launcher owns the report; a rank that sees a local
- * interrupt raises its mask bit and keeps following barriers until the
- * leader stops the group at a window boundary, so partial results stay
- * bit-consistent across all ranks.
- */
-int
-runIncastChild(const Config &cfg, const sim::FaultPlan &plan,
-               const RunOpts &opts)
-{
-    const IncastSetup setup = makeIncastSetup(cfg);
-    auto ps = std::make_unique<fame::PartitionSet>(
-        sim::Cluster::partitionsRequired(setup.cp));
-    auto cluster = std::make_unique<sim::Cluster>(*ps, setup.cp);
-    apps::IncastApp app(*cluster, setup.ip, 0, setup.servers);
-    app.install();
-    std::unique_ptr<sim::FaultController> fc;
-    installFaults(*cluster, plan, fc, /*quiet=*/true);
-
-    fame::ShmGroupLayout layout;
-    layout.nprocs = opts.proc_nprocs;
-    ShmSegment seg = ShmSegment::attach(opts.proc_shm);
-    if (seg.size() < layout.totalBytes()) {
-        fatal("rank %u: group segment %s is %zu bytes, need %zu",
-              opts.proc_rank, opts.proc_shm, seg.size(),
-              layout.totalBytes());
-    }
-    fame::ShmGroupControl *ctl = fame::groupControl(seg.data(), layout);
-    ctl->attached.fetch_add(1, std::memory_order_seq_cst);
-
-    fame::PartitionSet::CoupledOptions copts;
-    copts.self_rank = opts.proc_rank;
-    copts.owner_of = coupledOwnerMap(*ps, opts.proc_nprocs);
-    std::vector<std::unique_ptr<fame::Transport>> transports;
-    for (uint32_t r = 0; r < opts.proc_nprocs; ++r) {
-        if (r == opts.proc_rank) {
-            continue;
-        }
-        transports.push_back(
-            fame::groupTransport(seg.data(), layout, opts.proc_rank, r));
-        copts.peers.emplace_back(r, transports.back().get());
-    }
-    cluster->enableProcessCoupling(copts);
-
-    bool abandoned = false;
-    uint32_t last_epoch = 0;
-    auto cmd = fame::ShmGroupControl::kRun;
-    // The leader publishes every outer window, and windows are
-    // wall-clock fast; silence this long means it is gone.
-    constexpr int64_t kSliceNs = 200LL * 1000 * 1000;
-    constexpr int64_t kLeaderBudgetNs = 120LL * 1000 * 1000 * 1000;
-    int64_t idle_ns = 0;
-    for (;;) {
-        const uint32_t e = ctl->waitEpoch(last_epoch, kSliceNs);
-        if (e == last_epoch) {
-            idle_ns += kSliceNs;
-            if (idle_ns >= kLeaderBudgetNs) {
-                std::fprintf(stderr,
-                             "rank %u: leader silent for %llds; "
-                             "abandoning\n",
-                             opts.proc_rank,
-                             static_cast<long long>(kLeaderBudgetNs /
-                                                    1000000000));
-                abandoned = true;
-                break;
-            }
-            continue;
-        }
-        idle_ns = 0;
-        last_epoch = e;
-        cmd = static_cast<fame::ShmGroupControl::Command>(
-            ctl->command.load(std::memory_order_seq_cst));
-        if (cmd != fame::ShmGroupControl::kRun) {
-            break;
-        }
-        const SimTime until =
-            SimTime::ps(ctl->until_ps.load(std::memory_order_seq_cst));
-        if (!ps->runCoupled(until)) {
-            abandoned = true;
-            break;
-        }
-        if (core::interruptRequested()) {
-            ctl->markInterrupted(opts.proc_rank);
-        }
-    }
-    const bool interrupted =
-        abandoned || core::interruptRequested() ||
-        cmd == fame::ShmGroupControl::kStopInterrupted;
-
-    ProcResultHeader h;
-    h.rank = opts.proc_rank;
-    h.interrupted = interrupted ? 1 : 0;
-    h.partitions = static_cast<uint32_t>(ps->size());
-    h.c = collectProcCounters(*cluster, *ps);
-    const auto rows = collectPoolRows(*cluster, *ps);
-    if (!writeAll(opts.proc_result_fd, &h, sizeof(h)) ||
-        !writeAll(opts.proc_result_fd, rows.data(),
-                  rows.size() * sizeof(rows[0]))) {
-        std::fprintf(stderr, "rank %u: result pipe write failed\n",
-                     opts.proc_rank);
-        return 1;
-    }
-    close(opts.proc_result_fd);
-    return interrupted ? core::kExitInterrupted : 0;
-}
-
-analysis::RunArtifact::CounterGroup *
-findGroup(analysis::RunArtifact &a, const char *name)
-{
-    for (auto &g : a.groups) {
-        if (g.name == name) {
-            return &g;
-        }
-    }
-    return nullptr;
-}
-
-void
-bumpCounter(analysis::RunArtifact::CounterGroup &g, const char *name,
-            uint64_t delta)
-{
-    for (auto &kv : g.counters) {
-        if (kv.first == name) {
-            kv.second += delta;
-            return;
-        }
-    }
-    g.counters.emplace_back(name, delta);
-}
-
-/** The launcher + rank 0 engine behind `--processes N`. */
-int
-runIncastLeader(const Config &cfg, const sim::FaultPlan &plan,
-                const RunOpts &opts)
-{
-    const IncastSetup setup = makeIncastSetup(cfg);
-    const size_t nparts = sim::Cluster::partitionsRequired(setup.cp);
-    uint32_t nprocs = static_cast<uint32_t>(opts.eng.processes);
-    if (nprocs > nparts) {
-        nprocs = static_cast<uint32_t>(nparts);
-    }
-    if (nprocs > fame::ShmGroupLayout::kMaxProcs) {
-        nprocs = fame::ShmGroupLayout::kMaxProcs;
-    }
-    if (nprocs < 2) {
-        std::fprintf(stderr,
-                     "--processes needs at least 2 partitions to split "
-                     "(got %zu); use incast.racks>=2\n",
-                     nparts);
-        return 2;
-    }
-    if (nprocs != opts.eng.processes) {
-        std::printf("processes clamped to %u (%zu partitions, max %u)\n",
-                    nprocs, nparts, fame::ShmGroupLayout::kMaxProcs);
-    }
-
-    auto ps = std::make_unique<fame::PartitionSet>(nparts);
-    auto cluster = std::make_unique<sim::Cluster>(*ps, setup.cp);
-    apps::IncastApp app(*cluster, setup.ip, 0, setup.servers);
-    app.install();
-    std::unique_ptr<sim::FaultController> fc;
-    installFaults(*cluster, plan, fc);
-
-    fame::ShmGroupLayout layout;
-    layout.nprocs = nprocs;
-    const std::string shm_path =
-        "/tmp/diablo_mp_" + std::to_string(getpid()) + ".shm";
-    ::unlink(shm_path.c_str()); // clear debris a crashed run left
-    ShmSegment seg = ShmSegment::create(shm_path, layout.totalBytes());
-    fame::initGroupSegment(seg.data(), layout);
-    fame::ShmGroupControl *ctl = fame::groupControl(seg.data(), layout);
-    ctl->attached.fetch_add(1, std::memory_order_seq_cst);
-
-    struct ChildProc {
-        pid_t pid;
-        int fd;
-        uint32_t rank;
-    };
-    std::vector<ChildProc> kids;
-    for (uint32_t r = 1; r < nprocs; ++r) {
-        int pfd[2];
-        if (pipe(pfd) != 0) {
-            fatal("pipe: %s", std::strerror(errno));
-        }
-        // Only the write end crosses the exec; read ends of earlier
-        // children must not leak into later ones.
-        fcntl(pfd[0], F_SETFD, FD_CLOEXEC);
-        const pid_t pid = fork();
-        if (pid < 0) {
-            fatal("fork: %s", std::strerror(errno));
-        }
-        if (pid == 0) {
-            close(pfd[0]);
-            // Re-exec this binary as rank r: same scenario arguments,
-            // minus the leader-only --json/--processes, plus the
-            // child-rank identity.
-            std::vector<std::string> args;
-            args.push_back(opts.argv[0]);
-            args.push_back("incast");
-            for (int i = 2; i < opts.argc; ++i) {
-                const char *a = opts.argv[i];
-                auto strips = [&](const char *flag) {
-                    const size_t len = std::strlen(flag);
-                    if (std::strncmp(a, flag, len) != 0) {
-                        return false;
-                    }
-                    if (a[len] == '=') {
-                        return true;
-                    }
-                    if (a[len] == '\0') {
-                        ++i; // skip the separate value argument
-                        return true;
-                    }
-                    return false;
-                };
-                if (strips("--json") || strips("--processes")) {
-                    continue;
-                }
-                args.push_back(a);
-            }
-            args.push_back("--proc-rank");
-            args.push_back(std::to_string(r));
-            args.push_back("--proc-nprocs");
-            args.push_back(std::to_string(nprocs));
-            args.push_back("--proc-shm");
-            args.push_back(shm_path);
-            args.push_back("--proc-result-fd");
-            args.push_back(std::to_string(pfd[1]));
-            std::vector<char *> cargv;
-            cargv.reserve(args.size() + 1);
-            for (std::string &s : args) {
-                cargv.push_back(const_cast<char *>(s.c_str()));
-            }
-            cargv.push_back(nullptr);
-            execv("/proc/self/exe", cargv.data());
-            std::fprintf(stderr, "execv: %s\n", std::strerror(errno));
-            _exit(127);
-        }
-        close(pfd[1]);
-        kids.push_back(ChildProc{pid, pfd[0], r});
-    }
-
-    fame::PartitionSet::CoupledOptions copts;
-    copts.self_rank = 0;
-    copts.owner_of = coupledOwnerMap(*ps, nprocs);
-    std::vector<std::unique_ptr<fame::Transport>> transports;
-    for (uint32_t r = 1; r < nprocs; ++r) {
-        transports.push_back(
-            fame::groupTransport(seg.data(), layout, 0, r));
-        copts.peers.emplace_back(r, transports.back().get());
-    }
-    cluster->enableProcessCoupling(copts);
-
-    std::unique_ptr<sim::Watchdog> wd = makeWatchdog(cfg, *cluster);
-
-    SimTime t;
-    bool abandoned = false;
-    bool forwarded = false;
-    bool unlinked = false;
-    // Forward the stop signal to every child rank so each finalizes
-    // and reports instead of being orphaned mid-window.
-    auto forwardInterrupt = [&]() {
-        if (forwarded) {
-            return;
-        }
-        forwarded = true;
-        for (const ChildProc &k : kids) {
-            kill(k.pid, SIGTERM);
-        }
-    };
-    while (!app.result().done && !ps->idle()) {
-        if (core::interruptRequested()) {
-            forwardInterrupt();
-            break;
-        }
-        if (ctl->anyInterrupted()) {
-            break;
-        }
-        t = t + SimTime::ms(250);
-        ctl->publish(fame::ShmGroupControl::kRun, t.toPs());
-        if (!ps->runCoupled(t)) {
-            abandoned = true;
-            break;
-        }
-        if (!unlinked) {
-            // Every rank answered the first barrier, so the segment is
-            // mapped everywhere; nothing leaks on a crash from here on.
-            seg.unlinkFile();
-            unlinked = true;
-        }
-        if (wd != nullptr) {
-            wd->noteProgress(ps->totalExecutedEvents());
-        }
-    }
-    if (wd != nullptr) {
-        wd->disarm();
-    }
-    const bool interrupted = abandoned || core::interruptRequested() ||
-                             ctl->anyInterrupted();
-    if (core::interruptRequested()) {
-        forwardInterrupt();
-    }
-    ctl->publish(interrupted ? fame::ShmGroupControl::kStopInterrupted
-                             : fame::ShmGroupControl::kStop,
-                 t.toPs());
-    if (!unlinked) {
-        seg.unlinkFile();
-    }
-
-    // Reap every child and merge its counter report.
-    std::vector<ProcResultHeader> child_hdrs;
-    std::vector<std::vector<ProcPoolRow>> child_rows;
-    bool child_failed = false;
-    for (const ChildProc &k : kids) {
-        ProcResultHeader h;
-        std::vector<ProcPoolRow> rows;
-        bool have = readAll(k.fd, &h, sizeof(h)) &&
-                    h.magic == ProcResultHeader::kMagic &&
-                    h.partitions == ps->size();
-        if (have) {
-            rows.resize(h.partitions);
-            have = readAll(k.fd, rows.data(),
-                           rows.size() * sizeof(rows[0]));
-        }
-        close(k.fd);
-        int status = 0;
-        waitpid(k.pid, &status, 0);
-        const int code =
-            WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-        if (!have) {
-            std::fprintf(stderr,
-                         "rank %u: no result report (exit %d)\n",
-                         k.rank, code);
-            child_failed = true;
-            continue;
-        }
-        if (code != 0 && code != core::kExitInterrupted) {
-            std::fprintf(stderr, "rank %u: exit code %d\n", k.rank,
-                         code);
-            child_failed = true;
-        }
-        child_hdrs.push_back(h);
-        child_rows.push_back(std::move(rows));
-    }
-
-    const bool done = app.result().done;
-    const bool partial = interrupted || child_failed;
-    if (!done && !partial) {
-        std::fprintf(stderr, "incast did not complete\n");
-        return 1;
-    }
-
-    const auto &r = app.result();
-    std::printf("engine=mp processes=%u partitions=%zu\n", nprocs,
-                ps->size());
-    if (done) {
-        std::printf("incast: %u servers in %u rack%s, %s blocks x %u "
-                    "iterations (%s client)\n",
-                    setup.n, setup.racks, setup.racks == 1 ? "" : "s",
-                    fmtBytes(setup.ip.block_bytes).c_str(),
-                    setup.ip.iterations,
-                    setup.ip.use_epoll ? "epoll" : "pthread");
-        std::printf("goodput=%.1f Mbps\n", r.goodputMbps());
-        std::printf("iteration times (us): %s\n",
-                    analysis::latencySummary(r.iteration_us).c_str());
-    }
-    fame::PartitionSet::CoupledStats cs = ps->coupledStats();
-    for (const ProcResultHeader &h : child_hdrs) {
-        cs.sync_sent += h.c.sync_sent;
-        cs.sync_recv += h.c.sync_recv;
-        cs.msgs_sent += h.c.msgs_sent;
-        cs.msgs_recv += h.c.msgs_recv;
-        cs.bytes_sent += h.c.bytes_sent;
-        cs.bytes_recv += h.c.bytes_recv;
-        cs.waits_elided += h.c.waits_elided;
-        cs.waits_blocked += h.c.waits_blocked;
-    }
-    std::printf("mp: sync_sent=%llu msgs_sent=%llu bytes_sent=%llu "
-                "waits_elided=%llu waits_blocked=%llu\n",
-                static_cast<unsigned long long>(cs.sync_sent),
-                static_cast<unsigned long long>(cs.msgs_sent),
-                static_cast<unsigned long long>(cs.bytes_sent),
-                static_cast<unsigned long long>(cs.waits_elided),
-                static_cast<unsigned long long>(cs.waits_blocked));
-    if (opts.eng.mem_report) {
-        printMemReport(*cluster);
-    }
-    if (!plan.empty()) {
-        printFaultOutcome(*cluster);
-    }
-
-    if (opts.json_path != nullptr || partial) {
-        analysis::RunArtifact a;
-        a.workload = "incast";
-        a.elapsed_us = r.elapsed.asMicros();
-        a.goodput_mbps = r.goodputMbps();
-        a.requests_completed = r.iteration_us.count();
-        a.latencies.emplace_back(
-            "iteration_us", analysis::LatencyDigest::of(r.iteration_us));
-        auto &app_grp = a.addGroup("app");
-        app_grp.counters = {
-            {"servers", setup.n},
-            {"racks", setup.racks},
-            {"total_bytes", r.total_bytes},
-            {"block_bytes", setup.ip.block_bytes},
-            {"iterations", setup.ip.iterations},
-        };
-        fillCommonArtifact(a, *cluster, cfg, opts, plan, nullptr);
-        // Fold every child rank's ledgers in: the per-partition sums
-        // across processes equal the single-process totals exactly,
-        // which is what keeps the fingerprint engine-invariant.
-        for (size_t ci = 0; ci < child_hdrs.size(); ++ci) {
-            const ProcCounters &c = child_hdrs[ci].c;
-            a.executed_events += c.executed_events;
-            a.materialized_nodes += c.materialized_nodes;
-            a.arena_bytes_used += c.arena_bytes_used;
-            a.arena_bytes_reserved += c.arena_bytes_reserved;
-            if (auto *g = findGroup(a, "network")) {
-                bumpCounter(*g, "switch_drops", c.switch_drops);
-                bumpCounter(*g, "forwarded", c.forwarded);
-                bumpCounter(*g, "tcp_retransmits", c.tcp_retransmits);
-                bumpCounter(*g, "tcp_rtos", c.tcp_rtos);
-                bumpCounter(*g, "udp_socket_drops", c.udp_socket_drops);
-                bumpCounter(*g, "nic_rx_drops", c.nic_rx_drops);
-            }
-            if (auto *g = findGroup(a, "datapath")) {
-                bumpCounter(*g, "delivery_trains", c.delivery_trains);
-                bumpCounter(*g, "deliveries_coalesced",
-                            c.deliveries_coalesced);
-                bumpCounter(*g, "nic_tx_ring_drops",
-                            c.nic_tx_ring_drops);
-            }
-            if (auto *g = findGroup(a, "faults")) {
-                bumpCounter(*g, "reroutes", c.reroutes);
-                bumpCounter(*g, "link_down_drops", c.link_down_drops);
-                bumpCounter(*g, "link_degrade_drops",
-                            c.link_degrade_drops);
-                bumpCounter(*g, "tcp_aborts", c.tcp_aborts);
-                bumpCounter(*g, "tcp_recovered", c.tcp_recovered);
-                bumpCounter(*g, "crash_rx_discards",
-                            c.crash_rx_discards);
-            }
-            const auto &rows = child_rows[ci];
-            for (size_t i = 0;
-                 i < rows.size() && i < a.partition_rows.size(); ++i) {
-                a.partition_rows[i].events += rows[i].events;
-                a.partition_rows[i].pool_makes += rows[i].makes;
-                a.partition_rows[i].pool_recycles += rows[i].recycles;
-                a.partition_rows[i].pool_heap_allocs +=
-                    rows[i].heap_allocs;
-                a.partition_rows[i].pool_returns += rows[i].returns;
-                a.partition_rows[i].pool_high_water +=
-                    rows[i].high_water;
-            }
-        }
-        // Wall-clock-dependent transport counters: reported for the
-        // bench tooling, deliberately excluded from the fingerprint
-        // (single-process runs have no such group).
-        auto &mp = a.addGroup("mp", /*deterministic=*/false);
-        mp.counters = {
-            {"processes", nprocs},
-            {"sync_sent", cs.sync_sent},
-            {"sync_recv", cs.sync_recv},
-            {"msgs_sent", cs.msgs_sent},
-            {"msgs_recv", cs.msgs_recv},
-            {"bytes_sent", cs.bytes_sent},
-            {"bytes_recv", cs.bytes_recv},
-            {"waits_elided", cs.waits_elided},
-            {"waits_blocked", cs.waits_blocked},
-        };
-        if (partial) {
-            if (!core::interruptRequested()) {
-                core::requestInterrupt(core::kCausePeer);
-            }
-            return finalizeInterrupted(a, opts, nullptr);
-        }
-        writeArtifact(a, opts);
-    }
-    return 0;
-}
-
 void
 printUsage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s <memcached|incast> [--fault-plan <file>] "
                  "[--engine <seq|par>] [--threads <N>] "
-                 "[--processes <N>] [--no-pin] [--json <path>] "
+                 "[--no-pin] [--json <path>] "
                  "[--mem-report] [key=value ...]\n",
                  argv0);
 }
@@ -1472,8 +765,6 @@ main(int argc, char **argv)
     }
     Config cfg;
     RunOpts opts;
-    opts.argc = argc;
-    opts.argv = argv;
     EngineOpts &eng = opts.eng;
     // Strict non-negative integer parse shared by the count flags: an
     // unchecked strtoull would silently accept garbage or wraparound.
@@ -1537,40 +828,6 @@ main(int argc, char **argv)
             eng.threads = static_cast<size_t>(t);
             continue;
         }
-        if (const char *v = flagValue("--processes")) {
-            unsigned long long p = 0;
-            parseCount("--processes", v, &p);
-            if (p == 0) {
-                std::fprintf(stderr, "--processes must be >= 1\n");
-                return 2;
-            }
-            eng.processes = static_cast<size_t>(p);
-            continue;
-        }
-        // Internal child-rank identity flags, set by the launcher's
-        // re-exec; never given by hand.
-        if (const char *v = flagValue("--proc-rank")) {
-            unsigned long long r = 0;
-            parseCount("--proc-rank", v, &r);
-            opts.proc_rank = static_cast<uint32_t>(r);
-            continue;
-        }
-        if (const char *v = flagValue("--proc-nprocs")) {
-            unsigned long long np = 0;
-            parseCount("--proc-nprocs", v, &np);
-            opts.proc_nprocs = static_cast<uint32_t>(np);
-            continue;
-        }
-        if (const char *v = flagValue("--proc-shm")) {
-            opts.proc_shm = v;
-            continue;
-        }
-        if (const char *v = flagValue("--proc-result-fd")) {
-            unsigned long long fd = 0;
-            parseCount("--proc-result-fd", v, &fd);
-            opts.proc_result_fd = static_cast<int>(fd);
-            continue;
-        }
         if (std::strcmp(argv[i], "--no-pin") == 0) {
             eng.pin = false;
             continue;
@@ -1585,26 +842,6 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    const bool mp = eng.processes > 1 || opts.isChildRank();
-    if (mp && std::strcmp(argv[1], "incast") != 0) {
-        // memcached attaches request descriptors (AppData) to packets,
-        // which cannot cross a process boundary.
-        std::fprintf(stderr,
-                     "--processes supports only the incast workload\n");
-        return 2;
-    }
-    if (mp && cfg.getDouble("telemetry.period", 0.0) > 0.0) {
-        std::fprintf(stderr, "--processes does not support telemetry "
-                             "streaming (samplers read only the "
-                             "leader's partitions)\n");
-        return 2;
-    }
-    if (opts.isChildRank() &&
-        (opts.proc_rank == 0 || opts.proc_nprocs < 2 ||
-         opts.proc_rank >= opts.proc_nprocs || opts.proc_result_fd < 0)) {
-        std::fprintf(stderr, "malformed --proc-* child identity\n");
-        return 2;
-    }
     const sim::FaultPlan plan = makeFaultPlan(cfg, opts.plan_file);
     // Install before any simulation work so even an immediate SIGTERM
     // takes the finalize-partial-artifact path rather than killing the
@@ -1614,12 +851,6 @@ main(int argc, char **argv)
         return runMemcached(cfg, plan, opts);
     }
     if (std::strcmp(argv[1], "incast") == 0) {
-        if (opts.isChildRank()) {
-            return runIncastChild(cfg, plan, opts);
-        }
-        if (eng.processes > 1) {
-            return runIncastLeader(cfg, plan, opts);
-        }
         return runIncast(cfg, plan, opts);
     }
     std::fprintf(stderr, "unknown experiment '%s'\n", argv[1]);

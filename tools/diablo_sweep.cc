@@ -392,9 +392,8 @@ spawnJob(const Job &j)
         return pid;
     }
     // Child.  Lead a fresh process group so the sweep's signals reach
-    // the whole engine family: a multiprocess diablo_run (--processes)
-    // spawns child ranks, and a SIGTERM to the group lets every rank
-    // finalize, not just the launcher.
+    // the job and anything it spawns, and so a terminal's Ctrl-C goes
+    // to the sweep alone, which then stops its jobs in order.
     setpgid(0, 0);
     // Keep a copy of the original stderr (close-on-exec so it
     // never leaks into diablo_run) to report redirection failures —
@@ -833,8 +832,7 @@ main(int argc, char **argv)
             pending.clear();
             for (auto &[pid, j] : live) {
                 (void)j;
-                // Negative pid: signal the job's whole process group,
-                // so multiprocess engine ranks finalize too.
+                // Negative pid: signal the job's whole process group.
                 kill(-pid, SIGTERM);
             }
         }
